@@ -5,8 +5,10 @@ counters, momentum updates through the single collision algebra in
 :mod:`granulab.core`.  Two engines share the event loop:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
-  only neighbours can collide), with lazy per-particle times -- this is the
-  fast path used for large runs;
+  only neighbours can collide), with lazy per-particle times, run on Python
+  floats and lists (every event is scalar work, which numpy scalars and
+  1-element arrays only slow down) -- this is the fast path used for large
+  runs;
 * an all-pairs engine for any dimension, retained as the correctness oracle
   and used for 3D few-body work.
 
@@ -17,7 +19,9 @@ pathwise realization of the adjoint evolution on states.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from array import array
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,62 +32,69 @@ from .errors import EventStormError
 _TINY = 1e-14
 # relative overlap slack tolerated when validating post-event configurations
 _OVERLAP_SLACK = 1e-9
+# the normal of every 1D adjacency collision as passed to the algebra (slot i
+# is always the left neighbour); one read-only array shared by the log rows
+_ETA_1D = np.array([1.0])
+_ETA_1D.flags.writeable = False
 
 
-@dataclass
 class TrajectoryLog:
-    """Ordered collision events plus optional state snapshots."""
+    """Ordered collision events, stored as columns.
 
-    events: list = field(default_factory=list)
-    snapshot_times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
+    ``t``, ``i``, ``j``, ``eta``, ``g_n`` and ``dE`` hold one entry per
+    event, in event order, with the meaning of the
+    :class:`~granulab.core.CollisionEvent` fields.  :attr:`events` is a
+    read-only sequence view that builds each event when it is accessed.
+    """
+
+    def __init__(self):
+        self.t = array("d")
+        self.i = array("q")
+        self.j = array("q")
+        self.eta = []
+        self.g_n = array("d")
+        self.dE = array("d")
+
+    def append(self, t, i, j, eta, g_n, dE):
+        self.t.append(t)
+        self.i.append(i)
+        self.j.append(j)
+        self.eta.append(eta)
+        self.g_n.append(g_n)
+        self.dE.append(dE)
+
+    @property
+    def events(self) -> "_EventView":
+        return _EventView(self)
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.t)
 
     def total_dissipation(self) -> float:
-        return sum(ev.dE for ev in self.events)
-
-    def record_snapshot(self, state: SystemState):
-        self.snapshot_times.append(state.time)
-        self.snapshots.append(state.copy())
+        return sum(self.dE)
 
 
-def pair_collision_time(state: SystemState, i: int, j: int):
-    """Earliest contact time of pair (i, j) under free flight, or None.
+class _EventView(Sequence):
+    """The rows of a :class:`TrajectoryLog` as :class:`CollisionEvent`s."""
 
-    Solves |dq + dv (t - t0)| = sigma for the inward root.  On the 1D circle
-    both gap closures (through either image) are considered.
-    """
-    dq = state.q[i] - state.q[j]
-    dv = state.p[i] - state.p[j]
-    box = state.box
-    candidates = []
-    if box is not None:
-        dq = dq - box * np.round(dq / box)
-        if state.d == 1:
-            # second image: approach around the other side of the circle
-            shift = -np.sign(dq) * box if dq[0] != 0.0 else np.array([box])
-            candidates.append(dq + shift)
-    candidates.insert(0, dq)
-    best = None
-    for dqc in candidates:
-        a = float(dv @ dv)
-        b = 2.0 * float(dqc @ dv)
-        c = float(dqc @ dqc) - state.sigma**2
-        if a <= _TINY or b >= 0.0:
-            continue  # parallel motion or receding
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            continue
-        if c < 0.0:
-            trel = 0.0  # already touching within round-off
-        else:
-            trel = (-b - np.sqrt(disc)) / (2.0 * a)
-        if trel >= 0.0 and (best is None or trel < best):
-            best = trel
-    return None if best is None else state.time + best
+    def __init__(self, log: TrajectoryLog):
+        self._log = log
+
+    def __len__(self):
+        return len(self._log.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[m] for m in range(len(self))[k]]
+        log = self._log
+        return CollisionEvent(log.t[k], log.i[k], log.j[k], log.eta[k],
+                              log.g_n[k], log.dE[k])
+
+    def __iter__(self):
+        log = self._log
+        return map(CollisionEvent, log.t, log.i, log.j, log.eta, log.g_n,
+                   log.dE)
 
 
 class Simulation:
@@ -124,29 +135,29 @@ class Simulation:
         self.t = state.time
         self.n_events = 0
 
+        p = -state.p if self.rule == "inverse" else state.p
         # lazy per-particle positions: x[i] is the position at local time tl[i]
-        self.v = state.p.copy()
-        if self.rule == "inverse":
-            self.v = -self.v
-        self.tl = np.full(self.n, self.t)
-        self.cnt = np.zeros(self.n, dtype=np.int64)
-        self._last_event = np.full(self.n, -np.inf)
-        self._storm_t0 = np.full(self.n, self.t)
-        self._storm_cnt = np.zeros(self.n, dtype=np.int64)
+        self.tl = [self.t] * self.n
+        self.cnt = [0] * self.n
+        self._storm_cnt = [0] * self.n
+        # read only at the particle's own events: compact arrays, not lists
+        self._last_event = array("d", [-math.inf]) * self.n
+        self._storm_t0 = array("d", [self.t]) * self.n
         self.heap: list = []
 
         if self.engine == "adjacent":
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
             order = np.argsort(state.q[:, 0], kind="stable")
-            self.order = order                       # sorted slot -> label
-            self.x = state.q[order, 0].copy()        # unwrapped, stays sorted
-            self.v = self.v[order, 0].copy()
-            npairs = self.n if self.box is not None else self.n - 1
-            for k in range(max(npairs, 0)):
+            self.order = array("q", order.tolist())  # sorted slot -> label
+            self.x = state.q[order, 0].tolist()      # unwrapped, stays sorted
+            self.v = p[order, 0].tolist()
+            self._npairs = self.n if self.box is not None else self.n - 1
+            for k in range(max(self._npairs, 0)):
                 self._push_adjacent(k)
         elif self.engine == "allpairs":
             self.x = state.q.copy()
+            self.v = p.copy()
             for i in range(self.n):
                 for j in range(i + 1, self.n):
                     self._push_pair(i, j)
@@ -160,15 +171,19 @@ class Simulation:
         j = (k + 1) % self.n
         if j == 0 and self.box is None:
             return
-        off = self.box if j == 0 else 0.0
-        tau = max(self.tl[i], self.tl[j])
-        xi = self.x[i] + self.v[i] * (tau - self.tl[i])
-        xj = self.x[j] + off + self.v[j] * (tau - self.tl[j])
-        rel = self.v[i] - self.v[j]
+        x, v, tl = self.x, self.v, self.tl
+        rel = v[i] - v[j]
         if rel <= _TINY:
             return
-        gap = max(xj - xi - self.sigma, 0.0)
-        t_ev = tau + gap / rel
+        off = self.box if j == 0 else 0.0
+        ti, tj = tl[i], tl[j]
+        # the conditionals are builtin max(ti, tj) and max(gap, 0.0), spelled
+        # out because a call costs more than the arithmetic
+        tau = tj if tj > ti else ti
+        xi = x[i] + v[i] * (tau - ti)
+        xj = x[j] + off + v[j] * (tau - tj)
+        gap = xj - xi - self.sigma
+        t_ev = tau + (0.0 if 0.0 > gap else gap) / rel
         heapq.heappush(self.heap, (t_ev, i, j, self.cnt[i], self.cnt[j]))
 
     def _push_pair(self, i: int, j: int):
@@ -202,24 +217,48 @@ class Simulation:
             heapq.heappush(self.heap, (tau + best, i, j,
                                        self.cnt[i], self.cnt[j]))
 
+    def _repredict_adjacent(self, i, j):
+        for k in {(i - 1) % self.n, i, j}:
+            if k < self._npairs:
+                self._push_adjacent(k)
+
+    def _repredict_pairs(self, i, j):
+        for a in range(self.n):
+            if a != i:
+                self._push_pair(*sorted((a, i)))
+            if a != j and a != i:
+                self._push_pair(*sorted((a, j)))
+
     # -- event processing -------------------------------------------------
 
-    def _collision_normal(self, i, j):
-        """Unit normal from j's center to i's center at contact."""
-        if self.engine == "adjacent":
-            return np.array([-1.0])  # slot i is always the left neighbour
-        dq = self.x[i] - self.x[j]
-        if self.box is not None:
-            dq = dq - self.box * np.round(dq / self.box)
-        return dq / np.linalg.norm(dq)
+    def _collide_adjacent(self, t_ev, i, j):
+        x, v, tl = self.x, self.v, self.tl
+        x[i] = x[i] + v[i] * (t_ev - tl[i])
+        x[j] = x[j] + v[j] * (t_ev - tl[j])
+        tl[i] = tl[j] = t_ev
+        vi, vj = v[i], v[j]
+        g_n = vi - vj
+        if g_n <= 0.0:
+            return False  # grazing or stale geometry: no collision
+        v[i], v[j], dE = core.collide_rods(
+            vi, vj, self._epsilon(t_ev, i, j), self.rule == "inverse")
+        self._count(t_ev, i, j)
+        if self.log is not None:
+            self.log.append(t_ev, self.order[i], self.order[j], _ETA_1D,
+                            g_n, dE)
+        return True
 
-    def _apply_collision(self, t_ev, i, j):
+    def _collide_pair(self, t_ev, i, j):
         # advance the two participants to the event time
         self.x[i] = self.x[i] + self.v[i] * (t_ev - self.tl[i])
         self.x[j] = self.x[j] + self.v[j] * (t_ev - self.tl[j])
         self.tl[i] = self.tl[j] = t_ev
 
-        eta_geom = self._collision_normal(i, j)
+        # unit normal from j's center to i's center at contact
+        dq = self.x[i] - self.x[j]
+        if self.box is not None:
+            dq = dq - self.box * np.round(dq / self.box)
+        eta_geom = dq / np.linalg.norm(dq)
         # with eta pointing j -> i an approaching pair has <eta, v_i - v_j> <= 0;
         # negate so the algebra's approach condition holds
         eta = -eta_geom
@@ -229,103 +268,102 @@ class Simulation:
         if g_n <= 0.0:
             return False  # grazing or stale geometry: no collision
 
-        eps = self.eps
-        if self.tc_threshold is not None and (
-                t_ev - self._last_event[i] < self.tc_threshold
-                or t_ev - self._last_event[j] < self.tc_threshold):
-            eps = Inelasticity(0.0)
-        self._last_event[i] = self._last_event[j] = t_ev
+        eps = Inelasticity(self._epsilon(t_ev, i, j))
         if self.rule == "forward":
             vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
         else:
             vi2, vj2 = core.precollide(vi, vj, eta, eps)
         dE = 0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj)
-        if self.engine == "adjacent":
-            self.v[i] = vi2[0]
-            self.v[j] = vj2[0]
-        else:
-            self.v[i] = vi2
-            self.v[j] = vj2
+        self.v[i] = vi2
+        self.v[j] = vj2
+        self._count(t_ev, i, j)
+        if self.log is not None:
+            self.log.append(t_ev, i, j, eta, g_n, float(dE))
+        return True
+
+    def _epsilon(self, t_ev, i, j) -> float:
+        """Inelasticity of a collision at t_ev: 0 under the TC rule."""
+        last = self._last_event
+        tc = self.tc_threshold
+        elastic = tc is not None and (t_ev - last[i] < tc
+                                      or t_ev - last[j] < tc)
+        last[i] = last[j] = t_ev
+        return 0.0 if elastic else self.eps.epsilon
+
+    def _count(self, t_ev, i, j):
+        """Count a collision of i and j; abort on an event storm."""
         self.cnt[i] += 1
         self.cnt[j] += 1
         self.n_events += 1
-        self._storm_check(t_ev, i)
-        self._storm_check(t_ev, j)
-
-        if self.log is not None:
-            if self.engine == "adjacent":
-                li, lj = int(self.order[i]), int(self.order[j])
-            else:
-                li, lj = i, j
-            self.log.events.append(CollisionEvent(
-                t=t_ev, i=li, j=lj, eta=eta.copy(), g_n=g_n, dE=float(dE)))
-        return True
-
-    def _storm_check(self, t_ev, i):
-        if t_ev - self._storm_t0[i] >= 1.0:
-            self._storm_t0[i] = t_ev
-            self._storm_cnt[i] = 0
-        self._storm_cnt[i] += 1
-        if self._storm_cnt[i] > self.storm_limit:
-            raise EventStormError(
-                f"particle {i}: more than {self.storm_limit:g} events within "
-                f"unit time at t={t_ev:.6g}; likely inelastic collapse "
-                "(consider tc_threshold)"
-            )
-
-    def _repredict(self, i, j):
-        if self.engine == "adjacent":
-            ks = {(i - 1) % self.n, i, j}
-            npairs = self.n if self.box is not None else self.n - 1
-            for k in ks:
-                if k < npairs:
-                    self._push_adjacent(k)
-        else:
-            for a in range(self.n):
-                if a != i:
-                    self._push_pair(*sorted((a, i)))
-                if a != j and a != i:
-                    self._push_pair(*sorted((a, j)))
+        storm_t0, storm_cnt = self._storm_t0, self._storm_cnt
+        for k in (i, j):
+            if t_ev - storm_t0[k] >= 1.0:
+                storm_t0[k] = t_ev
+                storm_cnt[k] = 0
+            storm_cnt[k] += 1
+            if storm_cnt[k] > self.storm_limit:
+                raise EventStormError(
+                    f"particle {k}: more than {self.storm_limit:g} events "
+                    f"within unit time at t={t_ev:.6g}; likely inelastic "
+                    "collapse (consider tc_threshold)"
+                )
 
     def run(self, dt: float | None = None, max_events: int | None = None):
         """Process events until time t+dt (and/or an event budget) is reached.
 
-        Returns the number of collisions processed in this call.
+        The clock moves to t+dt, except when the event budget ends the run
+        with a contact before t+dt still pending (or when no dt is given):
+        then it stops at the last event processed, so :meth:`state` is
+        always a configuration the flow actually reaches.  Returns the
+        number of collisions processed in this call.
         """
         if dt is None and max_events is None:
             raise ValueError("provide dt and/or max_events")
-        t_end = np.inf if dt is None else self.t + dt
+        t_end = math.inf if dt is None else self.t + dt
         if dt is not None and dt < 0:
             raise ValueError("dt must be nonnegative")
+        budget = math.inf if max_events is None else max_events
+        if self.engine == "adjacent":
+            collide, repredict = self._collide_adjacent, self._repredict_adjacent
+        else:
+            collide, repredict = self._collide_pair, self._repredict_pairs
+        heap, cnt = self.heap, self.cnt
         processed = 0
-        while self.heap:
-            if max_events is not None and processed >= max_events:
-                break
-            t_ev, i, j, ci, cj = self.heap[0]
+        t_last = None  # time of the last event popped and applied
+        stopped = False
+        while heap:
+            t_ev, i, j, ci, cj = heap[0]
             if t_ev > t_end:
                 break
-            heapq.heappop(self.heap)
-            if self.cnt[i] != ci or self.cnt[j] != cj:
+            if cnt[i] != ci or cnt[j] != cj:
+                heapq.heappop(heap)
                 continue  # stale prediction
-            if self._apply_collision(t_ev, i, j):
+            if processed >= budget:
+                stopped = True
+                break
+            heapq.heappop(heap)
+            t_last = t_ev
+            if collide(t_ev, i, j):
                 processed += 1
-                self._repredict(i, j)
-        if np.isfinite(t_end):
+                repredict(i, j)
+        if stopped or t_end == math.inf:
+            if t_last is not None:
+                self.t = max(self.t, t_last)
+        else:
             self.t = t_end
-        elif self.heap or processed:
-            self.t = max(self.t, float(self.tl.max()))
         return processed
 
     def state(self) -> SystemState:
         """Synchronized snapshot at the current simulation time."""
+        tl = np.array(self.tl)
         if self.engine == "adjacent":
-            x = self.x + self.v * (self.t - self.tl)
+            x = np.array(self.x) + np.array(self.v) * (self.t - tl)
             q = np.empty((self.n, 1))
             p = np.empty((self.n, 1))
             q[self.order, 0] = x
             p[self.order, 0] = self.v
         else:
-            q = self.x + self.v * (self.t - self.tl)[:, None]
+            q = self.x + self.v * (self.t - tl)[:, None]
             p = self.v.copy()
         if self.rule == "inverse":
             p = -p
@@ -370,15 +408,6 @@ def evolve_observable(b, state0: SystemState, t: float, **kwargs) -> float:
     """
     final = advance(state0, t, **kwargs)
     return float(b(final.q, final.p))
-
-
-def free_flight(q: np.ndarray, p: np.ndarray, t: float,
-                box: float | None = None):
-    """Free streaming of (possibly batched) phase points by time t."""
-    q2 = q + p * t
-    if box is not None:
-        q2 = np.mod(q2, box)
-    return q2, p
 
 
 def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,

@@ -7,6 +7,7 @@ from granulab.core import (
     SystemState,
     UniformMaxwellian,
     collide,
+    collide_rods,
     collision_jacobian,
     dissipation,
     precollide,
@@ -120,6 +121,30 @@ class TestPrecollide:
         g = np.sum(eta * (p1 - p2), -1)
         gb = np.sum(eta * (b1 - b2), -1)
         np.testing.assert_allclose(gb, -g / (1 - 2 * eps), atol=1e-12)
+
+
+
+class TestCollideRods:
+    def test_bitwise_equal_to_array_maps(self):
+        # the scalar rod update must be the array maps with eta = [1.0],
+        # operation for operation, including the elastic exchange
+        rng = np.random.default_rng(4)
+        eta = np.array([1.0])
+        epsilons = [0.0] * 200 + list(rng.uniform(0.0, 0.5, size=800))
+        for eps in epsilons:
+            v1, v2 = rng.normal(size=2) * 10.0 ** rng.uniform(-6, 3)
+            p1, p2 = np.array([v1]), np.array([v2])
+            for inverse in (False, True):
+                if inverse:
+                    a1, a2 = precollide(p1, p2, eta, Inelasticity(eps))
+                else:
+                    a1, a2 = collide(p1, p2, eta, Inelasticity(eps),
+                                     check=False)
+                de = 0.5 * (a1 @ a1 + a2 @ a2 - p1 @ p1 - p2 @ p2)
+                w1, w2, de_scalar = collide_rods(float(v1), float(v2), eps,
+                                                 inverse)
+                assert (np.array([w1, w2, de_scalar]).tobytes()
+                        == np.array([a1[0], a2[0], de]).tobytes())
 
 
 class TestDissipation:
