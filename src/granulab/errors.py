@@ -29,10 +29,6 @@ class DtGuardError(GranulabError):
     """DSMC step called with a dt too large for the acceptance scheme."""
 
 
-class MajorantError(GranulabError):
-    """DSMC majorant was exceeded by an actual pair speed (should not happen)."""
-
-
 class ConfigError(GranulabError):
     """Invalid run configuration."""
 

@@ -21,27 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Inelasticity
-from .errors import (
-    ConfigError,
-    DtGuardError,
-    MajorantError,
-    NotImplementedOrderError,
-)
-
-
-@dataclass
-class VelocityDensity:
-    """One-particle phase density bundled with its sampler.
-
-    ``evaluate(q, p)`` takes (M, d) arrays and returns (M,) densities;
-    ``sample(n, rng)`` returns (n, d) position and momentum arrays.
-    ``mass`` is the number density the evaluator integrates to per unit
-    volume.
-    """
-
-    evaluate: object
-    sample: object
-    mass: float = 1.0
+from .errors import ConfigError, DtGuardError, NotImplementedOrderError
 
 
 def maxwellian_product_f2(temperature: float = 1.0, density: float = 1.0,
@@ -180,6 +160,27 @@ def dsmc_moments(state: DsmcState):
             0.5 * w * float(state.p @ state.p), granular_temperature(state))
 
 
+def _cell_index(q, length: float, n_cells: int) -> np.ndarray:
+    """Cell of each position; positions outside [0, length) fall in the
+    nearest end cell.  The result is int16 when ``n_cells`` allows, since a
+    stable sort of an int16 key takes numpy's radix path."""
+    x = q / (length / n_cells)
+    np.clip(x, 0, n_cells - 1, out=x)
+    return x.astype(np.int16 if n_cells <= np.iinfo(np.int16).max
+                    else np.intp)
+
+
+def _cell_spans(cells: np.ndarray, p: np.ndarray, n_cells: int):
+    """Per-cell sample counts and momentum spans max p - min p; the span
+    is 0 in cells with fewer than two samples."""
+    counts = np.bincount(cells, minlength=n_cells)
+    hi = np.full(n_cells, -np.inf)
+    lo = np.full(n_cells, np.inf)
+    np.maximum.at(hi, cells, p)
+    np.minimum.at(lo, cells, p)
+    return counts, np.where(counts > 1, hi - lo, 0.0)
+
+
 def dsmc_step(state: DsmcState, dt: float,
               rng: np.random.Generator) -> DsmcState:
     """One streaming + collision step of the 1D DSMC scheme.
@@ -187,74 +188,110 @@ def dsmc_step(state: DsmcState, dt: float,
     Candidate pairs per cell follow the majorant rate with
     v_max = max p - min p in the cell; acceptance is |dp| / v_max and
     accepted pairs get post-collision momenta from the inelastic collision
-    rule.  Aborts if any per-particle collision probability reaches 0.2.
+    rule.
+
+    The dt guard is checked for every cell before any random number is
+    drawn: if a per-particle collision probability reaches 0.2, the step
+    raises :class:`DtGuardError` naming the first such cell, and neither
+    ``state`` nor ``rng`` has changed.
+
+    Draws are made cell by cell in cell order (one uniform for the
+    candidate count, then the two index arrays, then the acceptance
+    uniforms), and the candidates are applied in dependency-ordered rounds:
+    a pair joins a round once no earlier pending pair touches either of its
+    samples, so the pairs of one round are disjoint and each one sees the
+    momenta a pair-by-pair loop in draw order would see.  The results are
+    therefore bitwise identical to that loop.
     """
-    if dt < 0:
-        raise ConfigError("dt must be nonnegative")
-    out = state.copy()
-    out.time = state.time + dt
+    if not 0.0 <= dt < np.inf:
+        raise ConfigError("dt must be finite and nonnegative")
     if dt == 0.0:
-        return out
-    out.q = np.mod(out.q + out.p * dt, out.length)
+        return replace(state.copy(), time=state.time + dt)
+    out = replace(state, q=np.mod(state.q + state.p * dt, state.length),
+                  p=state.p.copy(), time=state.time + dt)
     if state.n_samples < 2:
         return out
 
-    cell_len = out.length / out.n_cells
-    cells = np.minimum((out.q / cell_len).astype(np.int64), out.n_cells - 1)
-    order = np.argsort(cells, kind="stable")
-    bounds = np.searchsorted(cells[order], np.arange(out.n_cells + 1))
-    fac = 1.0 - out.eps.epsilon
-    rate = out.weight / cell_len * dt
-    for c in range(out.n_cells):
-        idx = order[bounds[c]:bounds[c + 1]]
-        nc = idx.size
-        if nc < 2:
-            continue
-        pc = out.p[idx]
-        vmax = float(pc.max() - pc.min())
-        if vmax <= 0.0:
-            continue
-        per_particle = rate * (nc - 1) * vmax
-        if per_particle >= 0.2:
-            raise DtGuardError(
-                f"cell {c}: per-particle collision probability "
-                f"{per_particle:.3f} >= 0.2; reduce dt")
-        mean_cand = rate * nc * (nc - 1) / 2.0 * vmax
-        n_cand = int(mean_cand) + (rng.random() < mean_cand - int(mean_cand))
+    cells = _cell_index(out.q, out.length, out.n_cells)
+    counts, vmax = _cell_spans(cells, out.p, out.n_cells)
+    rate = out.weight / (out.length / out.n_cells) * dt
+    per_particle = rate * (counts - 1) * vmax
+    bad = np.flatnonzero(per_particle >= 0.2)
+    if bad.size:
+        c = int(bad[0])
+        raise DtGuardError(
+            f"cell {c}: per-particle collision probability "
+            f"{per_particle[c]:.3f} >= 0.2; reduce dt")
+
+    mean_cand = rate * counts * (counts - 1) / 2.0 * vmax
+    drawn, ii, jj, u = [], [], [], []
+    active = np.flatnonzero(vmax > 0.0)
+    for c, nc, mc in zip(active.tolist(), counts[active].tolist(),
+                         mean_cand[active].tolist()):
+        n_cand = int(mc) + (rng.random() < mc - int(mc))
         if n_cand == 0:
             continue
-        ii = rng.integers(0, nc, size=n_cand)
-        jj = rng.integers(0, nc - 1, size=n_cand)
-        jj = np.where(jj >= ii, jj + 1, jj)
-        u = rng.random(n_cand)
-        for a, b, ua in zip(ii, jj, u):
-            dp = pc[a] - pc[b]
-            ratio = abs(dp) / vmax
-            if ratio > 1.0 + 1e-12:
-                raise MajorantError(
-                    f"cell {c}: acceptance ratio {ratio:.3f} exceeds 1")
-            if ua < ratio:
-                kick = fac * dp
-                pc[a] -= kick
-                pc[b] += kick
-        out.p[idx] = pc
+        drawn.append(c)
+        ii.append(rng.integers(0, nc, size=n_cand))
+        jj.append(rng.integers(0, nc - 1, size=n_cand))
+        u.append(rng.random(n_cand))
+    if not drawn:
+        return out
+    pair_cell = np.repeat(drawn, [x.size for x in ii])
+    ii = np.concatenate(ii)
+    jj = np.concatenate(jj)
+    jj += jj >= ii
+    # local indices -> positions in the stable by-cell order -> sample ids;
+    # the order itself is not kept, so the rounds run without it in memory
+    start = np.tile((np.cumsum(counts) - counts)[pair_cell], 2)
+    ids = np.argsort(cells, kind="stable")[np.concatenate([ii, jj]) + start]
+    _collide_in_rounds(out.p, ids[:ii.size], ids[ii.size:],
+                       np.concatenate(u), vmax[pair_cell],
+                       1.0 - out.eps.epsilon)
     return out
+
+
+def _collide_in_rounds(p, a, b, u, vmax, fac):
+    """Apply candidate pairs (a[k], b[k]) to ``p`` in place, with the result
+    of applying them one at a time in index order.
+
+    Each round takes every pending pair whose two samples no earlier pending
+    pair touches; those pairs are disjoint, so one array update applies
+    them with the same float operations on the same operands as the loop.
+    """
+    slots = np.arange(2 * a.size)
+    first = np.full(p.size, slots.size)  # first pending slot of each sample
+    while a.size:
+        ends = np.empty(2 * a.size, dtype=a.dtype)
+        ends[0::2] = a
+        ends[1::2] = b
+        np.minimum.at(first, ends, slots[:ends.size])
+        is_first = first[ends] == slots[:ends.size]
+        first[ends] = slots.size
+        ready = is_first[0::2] & is_first[1::2]
+        ra, rb = a[ready], b[ready]
+        dp = p[ra] - p[rb]
+        hit = u[ready] < np.abs(dp) / vmax[ready]
+        kick = fac * dp[hit]
+        p[ra[hit]] -= kick
+        p[rb[hit]] += kick
+        wait = ~ready
+        a, b, u, vmax = a[wait], b[wait], u[wait], vmax[wait]
 
 
 def suggest_dt(state: DsmcState, safety: float = 0.5) -> float:
     """Largest dt keeping per-particle collision probabilities under the
-    guard, scaled by ``safety``."""
+    guard, scaled by ``safety``.
+
+    The probabilities are measured on the current (pre-streaming) cells;
+    streaming within the step can raise them, which
+    :func:`solve_limit_equation` absorbs by halving dt.
+    """
     cell_len = state.length / state.n_cells
-    cells = np.minimum((state.q / cell_len).astype(np.int64),
-                       state.n_cells - 1)
-    worst = 0.0
-    for c in range(state.n_cells):
-        pc = state.p[cells == c]
-        if pc.size < 2:
-            continue
-        vmax = float(pc.max() - pc.min())
-        worst = max(worst, state.weight / cell_len * (pc.size - 1) * vmax)
-    if worst == 0.0:
+    cells = _cell_index(state.q, state.length, state.n_cells)
+    counts, vmax = _cell_spans(cells, state.p, state.n_cells)
+    worst = float(np.max(state.weight / cell_len * (counts - 1) * vmax))
+    if worst <= 0.0:
         return np.inf
     return safety * 0.2 / worst
 
@@ -308,6 +345,9 @@ class LimitSolution:
     final_state: DsmcState | None = None
 
 
+_MAX_DT_HALVINGS = 10
+
+
 def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                          seed: int, n_samples: int = 100_000,
                          n_cells: int = 64, density: float = 1.0,
@@ -317,7 +357,10 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     """DSMC solve of the 1D limit equation up to t_end.
 
     Snapshots are gridded into PhaseHistograms at the requested times
-    (default: t=0 and t_end); moments are recorded at every step.
+    (default: t=0 and t_end); moments are recorded at every step.  A step
+    whose streaming trips the dt guard is retried from the same state with
+    half the dt, up to ``_MAX_DT_HALVINGS`` times; a failed attempt draws no
+    random numbers, so a run that never trips the guard is unaffected.
     """
     rng = np.random.default_rng(seed)
     state = dsmc_init(f1_sampler, n_samples, n_cells, eps, rng,
@@ -346,7 +389,14 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
             dt = min(dt, dt_max)
         target = pending[0] if pending else t_end
         dt = min(dt, target - state.time, t_end - state.time)
-        state = dsmc_step(state, dt, rng)
+        for halvings in range(_MAX_DT_HALVINGS + 1):
+            try:
+                state = dsmc_step(state, dt, rng)
+                break
+            except DtGuardError:
+                if halvings == _MAX_DT_HALVINGS:
+                    raise
+                dt *= 0.5
         sol.moments.append((state.time,) + dsmc_moments(state))
         while pending and pending[0] <= state.time + 1e-12:
             record_snapshot(state)

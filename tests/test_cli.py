@@ -116,6 +116,15 @@ class TestDsmc:
                        if float(r["t"]) == 0.0)
         assert t0_count == 4000
 
+    def test_sparse_cells_finish(self, tmp_path):
+        # 50 samples in 16 cells: streaming within a step raises the
+        # collision probability that suggest_dt measured before it
+        rc = main(["dsmc", "--out", str(tmp_path), "--set", "n_samples=50",
+                   "--set", "n_cells=16", "--set", "eps=0.1", "--seed", "1"])
+        assert rc == 0
+        moments = read_rows(tmp_path / "moments.csv")
+        assert float(moments[-1]["t"]) == pytest.approx(1.0)
+
 
 class TestCheckCommands:
     def test_collision_check(self, tmp_path):

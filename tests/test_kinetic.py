@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from granulab.kinetic import (
     granular_temperature,
     maxwellian_product_f2,
     solve_limit_equation,
+    _collide_in_rounds,
     suggest_dt,
 )
 
@@ -126,11 +129,131 @@ class TestDsmc:
         with pytest.raises(DtGuardError):
             dsmc_step(state, 100.0 * suggest_dt(state), rng)
 
+    def test_dt_guard_before_any_draw(self):
+        # cell 0 is cold and would draw; cell 1 trips the guard
+        rng = np.random.default_rng(14)
+        q = np.concatenate([rng.uniform(0.2, 0.3, 100),
+                            rng.uniform(0.7, 0.8, 100)])
+        p = np.concatenate([rng.uniform(-0.01, 0.01, 100),
+                            rng.uniform(-5.0, 5.0, 100)])
+        state = DsmcState(q, p, 1.0, 2, Inelasticity(0.25), weight=0.01)
+        before = rng.bit_generator.state
+        with pytest.raises(DtGuardError, match="^cell 1: "):
+            dsmc_step(state, 0.02, rng)
+        assert rng.bit_generator.state == before
+        assert state.time == 0.0
+        np.testing.assert_array_equal(state.q, q)
+        np.testing.assert_array_equal(state.p, p)
+
+    def test_non_finite_dt_rejected(self):
+        state, rng = self.make_state()
+        for dt in (-1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                dsmc_step(state, dt, rng)
+
+    def test_collisions_stay_within_cell_span(self):
+        # each post-collision momentum mixes the pair's two momenta, so no
+        # cell's momentum span grows within a step: the majorant holds
+        state, rng = self.make_state(n=3000, cells=16, eps=0.25)
+        cell_len = state.length / state.n_cells
+        for _ in range(20):
+            dt = suggest_dt(state)
+            streamed = np.mod(state.q + state.p * dt, state.length)
+            out = dsmc_step(state, dt, rng)
+            np.testing.assert_array_equal(out.q, streamed)
+            cells = np.minimum((streamed / cell_len).astype(int),
+                               state.n_cells - 1)
+            for c in range(state.n_cells):
+                pre, post = state.p[cells == c], out.p[cells == c]
+                if pre.size > 1:
+                    vmax = pre.max() - pre.min()
+                    assert post.max() - post.min() <= vmax * (1 + 1e-12)
+            state = out
+
+    def test_rounds_match_pair_by_pair_loop(self):
+        # 400 candidates on 12 samples: long dependency chains
+        rng = np.random.default_rng(15)
+        p0 = rng.normal(size=12)
+        a = rng.integers(0, 12, size=400)
+        b = (a + rng.integers(1, 12, size=400)) % 12
+        u = rng.random(400)
+        vmax = np.full(400, p0.max() - p0.min())
+        expect = p0.copy()
+        for ak, bk, uk, vk in zip(a, b, u, vmax):
+            dp = expect[ak] - expect[bk]
+            if uk < abs(dp) / vk:
+                expect[ak] -= 0.75 * dp
+                expect[bk] += 0.75 * dp
+        got = p0.copy()
+        _collide_in_rounds(got, a, b, u, vmax, 0.75)
+        np.testing.assert_array_equal(got, expect)
+
     def test_temperature_degenerate(self):
         state = DsmcState(np.array([0.5]), np.array([0.0]), 1.0, 1,
                           Inelasticity(0.0), weight=1.0)
         with pytest.raises(ConfigError):
             granular_temperature(state)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestDsmcGolden:
+    """Bitwise pins of DSMC runs: ``steps`` rounds of ``suggest_dt`` plus
+    ``dsmc_step``.  The digests were recorded from the per-pair loop form of
+    ``dsmc_step``; an implementation that makes the same draws and applies
+    every collision with the same float operations in dependency order must
+    reproduce them exactly.  The third digest covers the dt sequence and the
+    generator's next four draws, so it pins the random stream."""
+
+    @pytest.mark.parametrize(
+        "seed, n, cells, eps, steps, safety, q_digest, p_digest, dt_digest", [
+            (41, 20000, 64, 0.25, 20, 0.5,
+             "bdd43ab40e29f5db1c4438ab71fdadbce5a1bc8c0d17b0c35f702f1808ac5067",
+             "1e25454878f4ffbb20a3947778ffeb1e38be85e65efcce9dc101c27c5a12739c",
+             "efe42ed04a28fe024df87a659b9e26515ff9e6a09feae34a16baa5a0e1e9e4b1"),
+            (42, 20000, 8, 0.25, 20, 0.5,
+             "efe4d94c02815ccf17242a8f8b9dae7a2154d52a9749977b03352aeec3c56872",
+             "356d802186dda2b037441cf1024c2595055a617f5dde4ac1bf2df192373deb99",
+             "cd5700c7a29b4eede536851a1ae8c6c18828966a8cff668520f41bf2b905283a"),
+            (43, 20000, 1, 0.25, 10, 0.5,
+             "8564df749a072f2461b643eb2be5136f46766f3a16da5fd2b17577936e85d296",
+             "56b3497c152b2f007487ed15db92e789d409bd70fd4ebfb971dbc732b056d1a7",
+             "7aa90d3299f409f17cb09673b775219854b35c1d3f3e946333fca4a7df6cb72a"),
+            (44, 20000, 16, 0.0, 20, 0.5,
+             "56ac80a30474ebc87e7f98cf36eb820558b4a44ed944dabc1ced785f3107d3c1",
+             "c0616c1e2c5a1ecb32fcc411b7e1727818df18dad71c0c5592c5786ceb18ec55",
+             "4f56d8e9a48b3844333a8fe493d60541f065781eb29ce27e70212522131399d3"),
+            (45, 5000, 3, 0.25, 20, 0.5,
+             "7207caff78caf35c93838317e74032d81e70fff882bbaaa2d1e9fdeaaab9c1b5",
+             "e77d0ea60bc235655a14130345ebc0656c8551f56d48b574dc744d4794bfbb30",
+             "1036495b6cd564b550b72bf270acb9cb8f15ae624cbb2cd3098bb5181df79e19"),
+            (46, 300, 64, 0.25, 20, 0.5,
+             "32155d3a0a2e30e3e399ae2e5f8dd5275ba52201c1bb181ebb487929638ed75e",
+             "e6283c7636c448b7f5ef3b121b10f8179c35f276ef80e164fb3984bd7045856c",
+             "3c02a2782e0db085ddbde4edb51ee5f16b7987e25c167595a52c90171a480f6f"),
+            (47, 2000, 1, 0.1, 20, 0.9,
+             "460024e3b252925edda354dafa09fb23973ea7476efd6a5f2bcd106375fae670",
+             "4ef6b0c4f1b90b0022e4c7581bcec4d67dff6f53c15ee2596df5b599a3c033de",
+             "750ef4f310ce2db4ed3c5db59bb0c5d96fd5cfbe64e477f779f7361aa68d3472"),
+        ], ids=["cells64", "cells8", "one_cell", "elastic", "sparse",
+                "few_per_cell", "near_guard"])
+    def test_digests(self, seed, n, cells, eps, steps, safety, q_digest,
+                     p_digest, dt_digest):
+        rng = np.random.default_rng(seed)
+        sampler = UniformMaxwellian(length=1.0, temperature=1.0)
+        state = dsmc_init(sampler, n, cells, Inelasticity(eps), rng)
+        dts = []
+        for _ in range(steps):
+            dts.append(suggest_dt(state, safety=safety))
+            state = dsmc_step(state, dts[-1], rng)
+        assert _digest(state.q) == q_digest
+        assert _digest(state.p) == p_digest
+        assert _digest(np.array(dts), rng.random(4)) == dt_digest
 
 
 class TestSolveLimitEquation:
@@ -153,6 +276,14 @@ class TestSolveLimitEquation:
         m0 = sol.histograms[0].momentum_marginal()
         m1 = sol.histograms[-1].momentum_marginal()
         np.testing.assert_allclose(m0, m1, atol=1e-12)
+
+    def test_halves_dt_when_streaming_trips_guard(self):
+        sampler = UniformMaxwellian(length=1.0, temperature=1.0)
+        sol = solve_limit_equation(sampler, 1.0, Inelasticity(0.1), seed=1,
+                                   n_samples=50, n_cells=16)
+        assert sol.final_state.time == pytest.approx(1.0)
+        mom = np.array([m[2] for m in sol.moments])
+        assert np.max(np.abs(mom - mom[0])) <= 1e-12 * len(sol.moments)
 
     def test_total_momentum_constant(self):
         sampler = UniformMaxwellian(length=1.0, temperature=1.0)
