@@ -190,7 +190,7 @@ def run_dsmc(cfg, out: Path):
               [list(m) for m in sol.moments])
     write_json(out / "run.json", _report(
         cfg, final_temperature=sol.moments[-1][4],
-        n_steps=len(sol.moments) - 1))
+        n_steps=len(sol.moments) - 1, dt_halvings=sol.dt_halvings))
     return 0
 
 

@@ -281,25 +281,6 @@ class UniformMaxwellian:
         return norm * np.exp(-0.5 * np.sum(p * p, axis=-1) / self.temperature)
 
 
-def _config_allowed(q: np.ndarray, sigma: float, box: float | None) -> bool:
-    n = q.shape[0]
-    if n < 2:
-        return True
-    if q.shape[1] == 1:
-        x = np.sort(q[:, 0])
-        if box is not None:
-            gaps = np.diff(x, append=x[0] + box)
-        else:
-            gaps = np.diff(x)
-        return bool(gaps.min() >= sigma)
-    dq = q[:, None, :] - q[None, :, :]
-    if box is not None:
-        dq -= box * np.round(dq / box)
-    dist = np.linalg.norm(dq, axis=-1)
-    iu = np.triu_indices(n, 1)
-    return bool(dist[iu].min() >= sigma)
-
-
 def _sample_tonks_positions(n: int, length: float, sigma: float,
                             rng: np.random.Generator) -> np.ndarray:
     # Exact uniform draw from the allowed set of n rods on a circle of
@@ -337,7 +318,8 @@ def sample_chaotic_state(
       large N where whole-configuration rejection would never terminate.
 
     Raises :class:`SamplingFailureError` when the attempt budget is
-    exhausted, reporting the observed acceptance rate.
+    exhausted, reporting the observed acceptance rate, or at once when
+    sigma >= box/2 leaves no allowed pair in the periodic box.
     """
     d = getattr(f1_sampler, "d", 1)
     direct_ok = (
@@ -358,10 +340,15 @@ def sample_chaotic_state(
     if method != "rejection":
         raise ValueError(f"unknown sampling method {method!r}")
 
+    if n >= 2 and box is not None and sigma >= box / 2.0:
+        raise SamplingFailureError(
+            f"no allowed configuration: sigma = {sigma} >= box/2 = {box / 2.0}",
+            acceptance_rate=0.0)
     for attempt in range(1, max_attempts + 1):
         q, p = f1_sampler.sample(n, rng)
-        if _config_allowed(q, sigma, box):
-            return SystemState(q, p, sigma, eps, box)
+        state = SystemState(q, p, sigma, eps, box)
+        if state.min_separation() >= sigma:
+            return state
     raise SamplingFailureError(
         f"no allowed configuration in {max_attempts} attempts "
         f"(n={n}, sigma={sigma})",

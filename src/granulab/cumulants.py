@@ -6,8 +6,9 @@ operators pathwise: every operator is a composition of exact flows from
 gridded densities.  Covered pieces:
 
 * set-partition enumeration with cumulant coefficients (-1)^{|P|-1}(|P|-1)!;
-* cumulants of semigroups applied to observables (blocks evolve as isolated
-  subsystems, then the observable is read off the combined configuration);
+* cumulants of semigroups applied to observables, read off configurations
+  assembled from isolated block evolutions; one partition-sum evaluator
+  evolves each distinct block once (2^k - 1 blocks, Bell(k) partitions);
 * low-order marginal-observable expansions (s <= 2);
 * scattering cumulants (interacting flow composed with inverse free flow)
   and the order-1 generating-operator identity;
@@ -63,13 +64,24 @@ def enumerate_cumulant_terms(n: int):
     """All partition terms of the (1+n)th-order cumulant of semigroups."""
     if not 0 <= n <= _MAX_ORDER:
         raise ConfigError(f"cumulant order {n} outside [0, {_MAX_ORDER}]")
-    terms = []
-    for blocks in set_partitions(range(n + 1)):
+    return list(_cumulant_terms(range(n + 1)))
+
+
+def _cumulant_terms(items):
+    """Partition terms of ``items`` (sorted blocks) in set_partitions order."""
+    for blocks in set_partitions(items):
         k = len(blocks)
-        coeff = (-1) ** (k - 1) * math.factorial(k - 1)
-        terms.append(PartitionTerm(tuple(tuple(sorted(b)) for b in blocks),
-                                   coeff))
-    return terms
+        yield PartitionTerm(tuple(tuple(sorted(b)) for b in blocks),
+                            (-1) ** (k - 1) * math.factorial(k - 1))
+
+
+def _evolved_terms(terms, evolve, cache):
+    """Yield (coefficient, block results) per term; evolve each block once."""
+    for term in terms:
+        for block in term.blocks:
+            if block not in cache:
+                cache[block] = evolve(block)
+        yield term.coefficient, [cache[block] for block in term.blocks]
 
 
 def _element_particles(element: int, cluster_size: int):
@@ -78,37 +90,35 @@ def _element_particles(element: int, cluster_size: int):
     return [cluster_size + element - 1]
 
 
-def _evolve_block(q, p, idx, t, sigma, eps, box):
-    """Evolve particles ``idx`` of (q, p) as an isolated subsystem."""
-    if t == 0.0 or len(idx) == 0:
-        return q, p
-    sub = SystemState(q[idx], p[idx], sigma, eps, box)
-    out = advance(sub, t)
-    q2, p2 = q.copy(), p.copy()
-    q2[idx] = out.q
-    p2[idx] = out.p
-    return q2, p2
-
-
 def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
                    eps: Inelasticity, cluster_size: int = 1,
                    box: float | None = None) -> float:
     """Evaluate the (1+n)th-order cumulant of semigroups on an observable.
 
     ``q``/``p`` hold ``cluster_size + n`` particles: the distinguished
-    cluster first, then the adjoined singletons.  Each partition term
-    evolves its blocks as independent subsystems for time ``t`` and reads
-    the observable ``b(q, p)`` off the combined configuration.
+    cluster first, then the adjoined singletons.  Each distinct block
+    evolves once, isolated, for time ``t``; each partition term writes its
+    blocks' results into a copy of (q, p) and reads ``b(q, p)`` off it.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
+
+    def evolve(block):
+        # a block reads only its own initial points: one result for all terms
+        idx = np.array([j for el in block
+                        for j in _element_particles(el, cluster_size)])
+        if t == 0.0:
+            return idx, q[idx], p[idx]
+        out = advance(SystemState(q[idx], p[idx], sigma, eps, box), t)
+        return idx, out.q, out.p
+
     total = 0.0
-    for term in enumerate_cumulant_terms(n):
-        qq, pp = q, p
-        for block in term.blocks:
-            idx = [j for el in block for j in _element_particles(el, cluster_size)]
-            qq, pp = _evolve_block(qq, pp, idx, t, sigma, eps, box)
-        total += term.coefficient * float(b(qq, pp))
+    for c, blocks in _evolved_terms(enumerate_cumulant_terms(n), evolve, {}):
+        qq, pp = q.copy(), p.copy()
+        for idx, qb, pb in blocks:
+            qq[idx] = qb
+            pp[idx] = pb
+        total += c * float(b(qq, pp))
     return total
 
 
@@ -345,13 +355,6 @@ def _sorted_gap_positions(m: int, n: int, length: float, sigma: float,
     return u + sigma * np.arange(n)
 
 
-def _subsets(n: int):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
 def duality_residual(b1, f1_sampler, t: float, n_particles: int,
                      mc_samples: int, sigma: float, eps: Inelasticity,
                      seed: int, length: float = 1.0):
@@ -361,7 +364,8 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     additive observable; the observable side sums cumulant expansions over
     all particle subsets of the same sampled configurations (common random
     numbers), which telescopes to the full-system evolution for a fixed
-    particle number.  ``b1(q, p)`` must act elementwise on arrays of
+    particle number.  Each subset evolves once, however many partitions
+    contain it as a block.  ``b1(q, p)`` must act elementwise on arrays of
     scalar 1D positions/momenta.  Returns (residual, stderr); the stderr
     carries a floor so the z-score is well defined when the coupled
     estimator is exact to rounding.
@@ -374,28 +378,24 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     temp = getattr(f1_sampler, "temperature", 1.0)
     p = rng.normal(0.0, np.sqrt(temp), size=(m, n))
 
-    # b1 of particle j when the subset containing j evolves in isolation
-    bvals = {}
-    for sub in _subsets(n):
-        if len(sub) == 1:
-            j = sub[0]
-            bvals[sub] = {j: b1(q[:, j] + p[:, j] * t, p[:, j])}
-        else:
-            cols = list(sub)
-            qf, pf, _ = evolve_rods_ensemble(q[:, cols], p[:, cols], t,
-                                             sigma, eps)
-            bvals[sub] = {j: b1(qf[:, k], pf[:, k])
-                          for k, j in enumerate(cols)}
+    def evolve(block):
+        # b1 of each particle of the block when the block evolves in isolation
+        cols = list(block)
+        if len(cols) == 1:  # free flight
+            return [b1(q[:, cols[0]] + p[:, cols[0]] * t, p[:, cols[0]])]
+        qf, pf, _ = evolve_rods_ensemble(q[:, cols], p[:, cols], t, sigma, eps)
+        return [b1(qf[:, k], pf[:, k]) for k in range(len(cols))]
 
-    rhs = sum(bvals[tuple(range(n))][j] for j in range(n))
+    # every nonempty subset, in bitmask order, with its partition terms
+    terms = (term for mask in range(1, 1 << n) for term in
+             _cumulant_terms([j for j in range(n) if mask >> j & 1]))
+    bvals = {}
     lhs = np.zeros(m)
-    for sub in _subsets(n):
-        for blocks in set_partitions(sub):
-            coeff = (-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
-            for block in blocks:
-                key = tuple(sorted(block))
-                for j in key:
-                    lhs += coeff * bvals[key][j]
+    for coeff, blocks in _evolved_terms(terms, evolve, bvals):
+        for vals in blocks:
+            for v in vals:
+                lhs += coeff * v
+    rhs = sum(bvals[tuple(range(n))])
 
     res = lhs - rhs
     mean = float(res.mean())

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core
 from .core import CollisionEvent, Inelasticity, SystemState
-from .errors import EventStormError
+from .errors import ConfigError, EventStormError
 
 _TINY = 1e-14
 # relative overlap slack tolerated when validating post-event configurations
@@ -117,6 +117,9 @@ class Simulation:
                  storm_limit: float = 1e5):
         if rule not in ("forward", "inverse"):
             raise ValueError(f"unknown rule {rule!r}")
+        if rule == "inverse" and tc_threshold is not None:
+            raise ConfigError("the inverse flow has no TC rule; "
+                              "tc_threshold applies to forward runs only")
         if not state.is_allowed(tol=_OVERLAP_SLACK):
             raise ValueError("initial configuration has overlapping particles")
         if engine == "auto":
@@ -392,7 +395,9 @@ def advance_inverse(state: SystemState, dt: float,
     momenta at contacts.  Inverse of :func:`advance` for the same dt.
 
     Each contact applies the inverse collision map (Jacobian 1/(1-2*eps)),
-    so the flow amplifies normal relative velocities for eps > 0.
+    so the flow amplifies normal relative velocities for eps > 0.  It has
+    no TC rule, so it cannot invert a forward run that used
+    ``tc_threshold`` (whose elastic collisions it would undo inelastically).
     """
     sim = Simulation(state, log=log, rule="inverse", engine=engine)
     sim.run(dt=dt)

@@ -343,6 +343,7 @@ class LimitSolution:
     histograms: list = field(default_factory=list)
     moments: list = field(default_factory=list)  # (t, mass, mom, E, T)
     final_state: DsmcState | None = None
+    dt_halvings: int = 0  # times a step was retried with half the dt
 
 
 _MAX_DT_HALVINGS = 10
@@ -360,7 +361,8 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     (default: t=0 and t_end); moments are recorded at every step.  A step
     whose streaming trips the dt guard is retried from the same state with
     half the dt, up to ``_MAX_DT_HALVINGS`` times; a failed attempt draws no
-    random numbers, so a run that never trips the guard is unaffected.
+    random numbers, so a run that never trips the guard is unaffected.  The
+    solution counts the halvings in ``dt_halvings``.
     """
     rng = np.random.default_rng(seed)
     state = dsmc_init(f1_sampler, n_samples, n_cells, eps, rng,
@@ -397,6 +399,7 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                 if halvings == _MAX_DT_HALVINGS:
                     raise
                 dt *= 0.5
+                sol.dt_halvings += 1
         sol.moments.append((state.time,) + dsmc_moments(state))
         while pending and pending[0] <= state.time + 1e-12:
             record_snapshot(state)

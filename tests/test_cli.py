@@ -124,6 +124,11 @@ class TestDsmc:
         assert rc == 0
         moments = read_rows(tmp_path / "moments.csv")
         assert float(moments[-1]["t"]) == pytest.approx(1.0)
+        assert read_json(tmp_path / "run.json")["dt_halvings"] > 0
+
+    def test_default_config_never_halves_dt(self, tmp_path):
+        assert main(["dsmc", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "run.json")["dt_halvings"] == 0
 
 
 class TestCheckCommands:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,35 @@ class TestSampleChaoticState:
         stderr = 1.0 / np.sqrt(ps.size)
         assert abs(ps.mean()) < 3 * stderr
         assert abs(ps.var() - 1.0) < 3 * np.sqrt(2.0) * stderr
+
+    @pytest.mark.parametrize("seed, n, d, sigma, box, digest", [
+        (21, 4, 1, 0.08, 1.0,
+         "8266447b91561023f7af02031ea3427f0d913d4ff927e044b0b6fc23f868e923"),
+        (22, 4, 1, 0.15, None,
+         "15859258a9d60922b32128b3f80d7f5df8d9bbbdd2934c0e1cdf931ebe3ac406"),
+        (22, 6, 3, 0.3, 1.0,
+         "19a38b1693322f23e87be9c9d848b5186de0dcb99fab82855eccfba1d38654a3"),
+    ])
+    def test_rejection_path_golden(self, seed, n, d, sigma, box, digest):
+        # bitwise pin of the accepted state and of the generator's next draw,
+        # so the number of rejected attempts is pinned too
+        class Counting:
+            def __init__(self, sampler):
+                self.sampler, self.d, self.calls = sampler, sampler.d, 0
+
+            def sample(self, n, rng):
+                self.calls += 1
+                return self.sampler.sample(n, rng)
+
+        rng = np.random.default_rng(seed)
+        sampler = Counting(UniformMaxwellian(d=d, length=1.0))
+        s = sample_chaotic_state(n, sampler, sigma, Inelasticity(0.1), box,
+                                 rng, method="rejection")
+        assert sampler.calls > 1
+        h = hashlib.sha256()
+        for a in (s.q, s.p, rng.random(4)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestEnsembleSampler:

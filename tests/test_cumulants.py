@@ -16,6 +16,7 @@ from granulab.cumulants import (
     scattering_term_list,
     set_partitions,
 )
+from granulab.dynamics import advance
 from granulab.errors import ConfigError
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
@@ -287,3 +288,115 @@ class TestDualityResidual:
         e0 = 0.5 * np.sum(p ** 2, axis=1).mean()
         e1 = 0.5 * np.sum(pf ** 2, axis=1).mean()
         assert e1 < e0 - 1e-3 and ncol.sum() > 0
+
+
+def _rods(seed, n, span, isolated=False, sigma=0.1):
+    """``n`` rods with gaps >= sigma on [0, span), also across the wrap;
+    with ``isolated`` the last rod is moved beyond any contact within t=1."""
+    rng = np.random.default_rng(seed)
+    q = np.sort(rng.uniform(0.0, span - n * sigma, size=n)) + sigma * np.arange(n)
+    p = rng.normal(size=n)
+    if isolated:
+        q[-1] = q[-2] + sigma + 2.0 * np.abs(p).max() + 1.0
+    return q[:, None], p[:, None]
+
+
+def _labelled(q, p):
+    # depends on which slot holds which particle, so a block result written
+    # back to the wrong particles changes the value
+    w = np.arange(1, len(q) + 1)[:, None]
+    return float(np.sum(w * (q + 0.5 * p * p)))
+
+
+PINS_cluster = [
+    "0x1.9bfd01981ef87p-10", "0x0.0p+0", "0x1.6d5807ed0ecd8p-2",
+    "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0",
+]
+PINS_cluster_labelled = [
+    "0x1.8092d312b095ap-1", "0x0.0p+0", "-0x1.1362594814640p-2",
+    "0x0.0p+0", "-0x1.2efa9d6b94400p-1", "0x0.0p+0",
+    "0x1.0000000000000p-37",
+]
+PINS_isolated_rod = [
+    "0x1.be80b3682d7a5p-1", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0",
+]
+PINS_cluster_size_2 = [
+    "0x1.60b4f918f1a20p+0", "0x1.a1ec26e655a80p-4", "-0x1.4ce513fe99300p-2",
+    "0x1.070d8273ac180p-1", "0x0.0p+0", "0x0.0p+0",
+    "-0x1.1609e526c0000p-2",
+]
+PINS_box = [
+    "0x1.a588d3268d162p-1", "0x0.0p+0", "0x1.169b350da8260p+1",
+    "-0x1.5e87cc3598070p+3", "0x1.3dc173253d320p+4", "-0x1.29680ea84e100p+4",
+    "0x1.372ad235b5c00p+5",
+]
+PINS_t0 = [
+    "0x1.4d85e11b299b6p-7", "0x0.0p+0", "0x0.0p+0",
+    "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "0x1.0000000000000p-38",
+]
+PINS_duality = [
+    (2, 0.0, ("-0x1.d33a06d3a06d4p-57", "0x1.607a30ede7aa0p-46")),
+    (2, 0.25, ("-0x1.b25f92c5f92c6p-57", "0x1.450c78029174ap-46")),
+    (3, 0.0, ("0x1.f0a3d70a3d70ap-58", "0x1.ac9b3d521ddadp-46")),
+    (3, 0.25, ("0x1.be06d3a06d3a0p-55", "0x1.646bc01619cc8p-46")),
+    (4, 0.0, ("0x1.623d70a3d70a4p-54", "0x1.14cca92c2aaebp-45")),
+    (4, 0.25, ("0x1.a4962fc962fc9p-54", "0x1.965213faa4ceap-46")),
+]
+
+GOLDEN_CUMULANTS = {
+    # name: (_rods arguments, observable, apply_cumulant keywords,
+    #        float.hex of the value at orders 0..6)
+    "cluster": ((11, 7, 2.0), energy, {}, PINS_cluster),
+    "cluster_labelled": ((14, 7, 1.0), _labelled, {}, PINS_cluster_labelled),
+    "isolated_rod": ((12, 7, 2.0, True), energy, {}, PINS_isolated_rod),
+    "cluster_size_2": ((13, 8, 1.2), _labelled, {"cluster_size": 2},
+                       PINS_cluster_size_2),
+    "box": ((14, 7, 1.2), _labelled, {"box": 1.2}, PINS_box),
+    "t0": ((11, 7, 1.0), _labelled, {"t": 0.0}, PINS_t0),
+}
+
+
+class TestGoldenPartitionSums:
+    """Bitwise pins of the partition-sum estimators.  The values were
+    recorded when ``apply_cumulant`` re-evolved every block of every
+    partition and ``duality_residual`` filled its per-subset table before
+    summing; evaluating each distinct block once, with the same float
+    operations summed in the same order, must reproduce them exactly."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CUMULANTS))
+    def test_apply_cumulant(self, name):
+        rods, b, kwargs, pins = GOLDEN_CUMULANTS[name]
+        q, p = _rods(*rods)
+        kwargs = dict(kwargs)
+        t = kwargs.pop("t", 1.0)
+        size = kwargs.get("cluster_size", 1)
+        got = [apply_cumulant(k, t, b, q[:size + k], p[:size + k], 0.1,
+                              Inelasticity(0.25), **kwargs).hex()
+               for k in range(7)]
+        assert got == pins
+
+    @pytest.mark.parametrize("n, eps, pins", PINS_duality)
+    def test_duality_residual(self, n, eps, pins):
+        res, err = duality_residual(lambda q, p: 0.5 * p * p,
+                                    UniformMaxwellian(length=1.0), 1.0, n,
+                                    300, 0.02, Inelasticity(eps), seed=5)
+        assert (res.hex(), err.hex()) == pins
+
+    def test_each_block_evolves_once(self, monkeypatch):
+        # an order-6 cumulant on 7 rods sums Bell(7) = 877 partitions, but
+        # they share only 2**7 - 1 = 127 distinct blocks
+        import granulab.cumulants as cm
+        calls = []
+
+        def counting_advance(state, dt, **kwargs):
+            calls.append(state.n)
+            return advance(state, dt, **kwargs)
+
+        monkeypatch.setattr(cm, "advance", counting_advance)
+        q, p = _rods(11, 7, 2.0)
+        apply_cumulant(6, 1.0, energy, q, p, 0.1, Inelasticity(0.25))
+        assert len(calls) <= 127

@@ -12,7 +12,7 @@ from granulab.dynamics import (
     evolve_observable,
     evolve_rods_ensemble,
 )
-from granulab.errors import EventStormError
+from granulab.errors import ConfigError, EventStormError
 
 
 def two_rods(eps=0.0, sigma=0.1):
@@ -207,6 +207,15 @@ class TestInverseFlow:
                         sigma=0.1, eps=Inelasticity(0.25))
         back = advance_inverse(s, 1.0)
         assert back.kinetic_energy() > s.kinetic_energy() + 0.1
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_refuses_tc_threshold(self, engine):
+        # the inverse flow has no TC rule: a run with tc_threshold would
+        # undo the cutoff's elastic collisions inelastically
+        with pytest.raises(ConfigError, match="no TC rule"):
+            Simulation(two_rods(eps=0.25), rule="inverse", engine=engine,
+                       tc_threshold=1e-9)
+        Simulation(two_rods(eps=0.25), engine=engine, tc_threshold=1e-9)
 
 
 class TestEvolveObservable:

@@ -282,6 +282,7 @@ class TestSolveLimitEquation:
         sol = solve_limit_equation(sampler, 1.0, Inelasticity(0.1), seed=1,
                                    n_samples=50, n_cells=16)
         assert sol.final_state.time == pytest.approx(1.0)
+        assert sol.dt_halvings > 0
         mom = np.array([m[2] for m in sol.moments])
         assert np.max(np.abs(mom - mom[0])) <= 1e-12 * len(sol.moments)
 
