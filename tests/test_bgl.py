@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,11 @@ class TestBgStudy:
         r1 = bg_study(self.base)
         r2 = bg_study(self.base)
         assert r1.per_sigma == r2.per_sigma
+
+    def test_per_sigma_golden(self):
+        # bitwise pin of every row value (repr round-trips a float exactly)
+        cfg = dict(self.base, replicas=4, n_particles=2000, length=2000.0)
+        rows = bg_study(cfg).per_sigma
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "360a4364c71a285e9cf73f5851d7009efeef514ba1a1ae9341dea7108be6542e")

@@ -320,6 +320,22 @@ class TestSampleChaoticState:
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("seed, n, sigma, box, digest", [
+        (23, 64, 0.01, 1.0,
+         "fad79626912010a769495b560c85b2c898d0eb1de9ae96111de96e17d0d16d92"),
+        (24, 10_000, 0.01, 10_000.0,
+         "bbcd61b33a5f0543dd7b1bfef4fad713417c415ec6ffeb60cebbe9a5959b026e"),
+    ])
+    def test_direct_path_golden(self, seed, n, sigma, box, digest):
+        # bitwise pin of the gap-insertion state and the generator's next draw
+        rng = np.random.default_rng(seed)
+        s = sample_chaotic_state(n, UniformMaxwellian(length=box), sigma,
+                                 Inelasticity(0.25), box, rng, method="direct")
+        h = hashlib.sha256()
+        for a in (s.q, s.p, rng.random(4)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestEnsembleSampler:
     def test_shapes_and_validity(self):
