@@ -4,7 +4,6 @@ from .bgl import ChaosReport, bg_study, empirical_marginals
 from .core import (
     CollisionEvent,
     Inelasticity,
-    PhasePoint,
     SystemState,
     UniformMaxwellian,
     collide,
@@ -20,13 +19,7 @@ from .cumulants import (
     marginal_functional_F2,
     scattering_cumulant,
 )
-from .dynamics import (
-    Simulation,
-    TrajectoryLog,
-    advance,
-    advance_inverse,
-    evolve_observable,
-)
+from .dynamics import Simulation, TrajectoryLog, advance, advance_inverse
 from .kinetic import (
     DsmcState,
     PhaseHistogram,
@@ -45,7 +38,6 @@ __all__ = [
     "DsmcState",
     "Inelasticity",
     "PhaseHistogram",
-    "PhasePoint",
     "Simulation",
     "SystemState",
     "TrajectoryLog",
@@ -64,7 +56,6 @@ __all__ = [
     "energy_moment_quadrature",
     "enskog_collision_integral",
     "enumerate_cumulant_terms",
-    "evolve_observable",
     "granular_temperature",
     "marginal_functional_F2",
     "maxwellian_product_f2",

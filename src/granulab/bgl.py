@@ -21,22 +21,8 @@ from .kinetic import PhaseHistogram, granular_temperature, solve_limit_equation
 
 
 @dataclass
-class PairHistogram:
-    """Coarse gridded estimate of an ordered-pair phase distribution."""
-
-    q_edges: np.ndarray
-    p_edges: np.ndarray
-    counts: np.ndarray  # shape (nq, np, nq, np)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.counts.sum())
-
-
-@dataclass
 class MarginalEstimate:
     F1: PhaseHistogram
-    F2: PairHistogram
     g2_norm: float
     per_replica_f1: np.ndarray  # (replicas, nq, np) probability masses
     n_pairs: int
@@ -59,10 +45,10 @@ def empirical_marginals(snapshots, q_edges, p_edges,
                         rng: np.random.Generator | None = None):
     """One- and two-particle marginals from replica snapshots.
 
-    F1 pools all particles; F2 histograms ordered pairs within each
-    replica (subsampled beyond ``max_pairs_per_replica``) and the chaos
-    norm is the L1 distance between the pair probabilities and the outer
-    product of the single-particle probabilities.
+    F1 pools all particles; ordered pairs within each replica (subsampled
+    beyond ``max_pairs_per_replica``) are histogrammed, and the chaos norm
+    is the L1 distance between the pair probabilities and the outer product
+    of the single-particle probabilities.
     """
     snapshots = list(snapshots)
     if not snapshots:
@@ -100,12 +86,10 @@ def empirical_marginals(snapshots, q_edges, p_edges,
         n_pairs += len(ii)
 
     f1 = PhaseHistogram(q_edges, p_edges, f1_counts)
-    f2 = PairHistogram(q_edges, p_edges,
-                       pair_counts.reshape(nq, npb, nq, npb))
     pi1 = (f1_counts / f1_counts.sum()).ravel()
     pi2 = pair_counts / pair_counts.sum()
     g2 = float(np.abs(pi2 - np.outer(pi1, pi1)).sum())
-    return MarginalEstimate(f1, f2, g2, per_replica, n_pairs)
+    return MarginalEstimate(f1, g2, per_replica, n_pairs)
 
 
 def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +42,6 @@ class Inelasticity:
     @property
     def restitution(self) -> float:
         return 1.0 - 2.0 * self.epsilon
-
-
-@dataclass
-class PhasePoint:
-    """Position and momentum of a single particle in d in {1, 3} dimensions."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must have the same dimension")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
-            raise ValueError("phase coordinates must be finite")
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[0]
 
 
 def unit_normal(eta) -> np.ndarray:
@@ -214,10 +194,6 @@ class SystemState:
     def d(self) -> int:
         return self.q.shape[1]
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.q.copy(), self.p.copy(), self.sigma,
-                           self.eps, self.box, self.time)
-
     def separation(self, i: int, j: int) -> float:
         """Minimum-image distance between particles i and j."""
         dq = self.q[i] - self.q[j]
@@ -268,7 +244,6 @@ class UniformMaxwellian:
     d: int = 1
     length: float = 1.0
     temperature: float = 1.0
-    uniform_positions: bool = field(default=True, init=False)
 
     def sample(self, n: int, rng: np.random.Generator):
         q = rng.uniform(0.0, self.length, size=(n, self.d))
@@ -281,20 +256,21 @@ class UniformMaxwellian:
         return norm * np.exp(-0.5 * np.sum(p * p, axis=-1) / self.temperature)
 
 
-def _sample_tonks_positions(n: int, length: float, sigma: float,
-                            rng: np.random.Generator) -> np.ndarray:
-    # Exact uniform draw from the allowed set of n rods on a circle of
-    # circumference `length`: sample the free volume, sort, re-insert the
-    # excluded lengths, then rotate and relabel to restore exchangeability.
-    free = length - n * sigma
-    if free <= 0:
-        raise SamplingFailureError(
-            f"no allowed configuration: n*sigma = {n * sigma} >= L = {length}",
-            acceptance_rate=0.0,
-        )
-    u = np.sort(rng.uniform(0.0, free, size=n))
-    x = np.mod(u + sigma * np.arange(n) + rng.uniform(0.0, length), length)
-    return x[rng.permutation(n), None]
+def _gap_positions(m: int, n: int, length: float, sigma: float,
+                   rng: np.random.Generator, periodic: bool = False):
+    """Exact uniform draw of m rows of n rods on [0, length) whose gaps are
+    all >= sigma: sample the free volume, sort, re-insert the excluded
+    lengths.  Rows come out sorted (labels in position order).  With
+    ``periodic`` the gap across the wrap counts too, and each row is rotated
+    by a uniform offset, wrapped and relabelled to restore exchangeability.
+    Requires n*sigma < length.
+    """
+    u = np.sort(rng.uniform(0.0, length - n * sigma, size=(m, n)), axis=1)
+    x = u + sigma * np.arange(n)
+    if periodic:
+        x = rng.permuted(np.mod(x + rng.uniform(0.0, length, size=(m, 1)),
+                                length), axis=1)
+    return x
 
 
 def sample_chaotic_state(
@@ -318,15 +294,11 @@ def sample_chaotic_state(
       large N where whole-configuration rejection would never terminate.
 
     Raises :class:`SamplingFailureError` when the attempt budget is
-    exhausted, reporting the observed acceptance rate, or at once when
-    sigma >= box/2 leaves no allowed pair in the periodic box.
+    exhausted, or at once when no allowed configuration exists (sigma >=
+    box/2 with two or more rods, or n*sigma >= box on the direct path).
     """
-    d = getattr(f1_sampler, "d", 1)
-    direct_ok = (
-        d == 1 and box is not None
-        and getattr(f1_sampler, "uniform_positions", False)
-        and getattr(f1_sampler, "length", None) == box
-    )
+    direct_ok = (isinstance(f1_sampler, UniformMaxwellian)
+                 and f1_sampler.d == 1 and f1_sampler.length == box)
     if method == "auto":
         method = "direct" if (direct_ok and n > 16) else "rejection"
     if method == "direct":
@@ -334,7 +306,10 @@ def sample_chaotic_state(
             raise ValueError(
                 "direct sampling requires uniform positions on a periodic 1D box"
             )
-        q = _sample_tonks_positions(n, box, sigma, rng)
+        if n * sigma >= box:
+            raise SamplingFailureError(
+                f"no allowed configuration: n*sigma = {n * sigma} >= L = {box}")
+        q = _gap_positions(1, n, box, sigma, rng, periodic=True).reshape(n, 1)
         _, p = f1_sampler.sample(n, rng)
         return SystemState(q, p, sigma, eps, box)
     if method != "rejection":
@@ -342,8 +317,7 @@ def sample_chaotic_state(
 
     if n >= 2 and box is not None and sigma >= box / 2.0:
         raise SamplingFailureError(
-            f"no allowed configuration: sigma = {sigma} >= box/2 = {box / 2.0}",
-            acceptance_rate=0.0)
+            f"no allowed configuration: sigma = {sigma} >= box/2 = {box / 2.0}")
     for attempt in range(1, max_attempts + 1):
         q, p = f1_sampler.sample(n, rng)
         state = SystemState(q, p, sigma, eps, box)
@@ -351,46 +325,4 @@ def sample_chaotic_state(
             return state
     raise SamplingFailureError(
         f"no allowed configuration in {max_attempts} attempts "
-        f"(n={n}, sigma={sigma})",
-        acceptance_rate=0.0,
-    )
-
-
-def sample_chaotic_ensemble(
-    m: int,
-    n: int,
-    f1_sampler,
-    sigma: float,
-    box: float | None,
-    rng: np.random.Generator,
-    max_rounds: int = 10_000,
-):
-    """Vectorized joint-rejection sampler for m independent small systems.
-
-    Returns (q, p) arrays of shape (m, n, d).  Intended for the Monte Carlo
-    harnesses where n is 2 or 3 and m is large.
-    """
-    d = getattr(f1_sampler, "d", 1)
-    q = np.empty((m, n, d))
-    p = np.empty((m, n, d))
-    pending = np.arange(m)
-    for _ in range(max_rounds):
-        k = pending.size
-        if k == 0:
-            return q, p
-        qk, pk = f1_sampler.sample(k * n, rng)
-        qk = qk.reshape(k, n, d)
-        pk = pk.reshape(k, n, d)
-        dq = qk[:, :, None, :] - qk[:, None, :, :]
-        if box is not None:
-            dq -= box * np.round(dq / box)
-        dist = np.linalg.norm(dq, axis=-1)
-        iu, ju = np.triu_indices(n, 1)
-        ok = dist[:, iu, ju].min(axis=1) >= sigma if n > 1 else np.ones(k, bool)
-        q[pending[ok]] = qk[ok]
-        p[pending[ok]] = pk[ok]
-        pending = pending[~ok]
-    raise SamplingFailureError(
-        f"ensemble rejection did not converge ({pending.size}/{m} rows left)",
-        acceptance_rate=1.0 - pending.size / m,
-    )
+        f"(n={n}, sigma={sigma})")

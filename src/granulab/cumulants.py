@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Inelasticity, SystemState
+from .core import Inelasticity, SystemState, _gap_positions
 from .dynamics import TrajectoryLog, advance, advance_inverse, evolve_rods_ensemble
 from .errors import ConfigError
 
@@ -271,8 +271,6 @@ def _transported_density(f1_sampler, t, box):
         q0 = qi - pi * t
         if box is not None:
             q0 = np.mod(q0, box)
-        if hasattr(f1_sampler, "density"):
-            return float(f1_sampler.density(q0, pi))
         vol = getattr(f1_sampler, "length", None)
         val = float(f1_sampler.momentum_pdf(pi[None, :])[0])
         if vol is not None:
@@ -344,17 +342,6 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
 
 # -- duality harness -------------------------------------------------------
 
-def _sorted_gap_positions(m: int, n: int, length: float, sigma: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Exact i.i.d.-uniform positions on [0, length) conditioned on sorted
-    pairwise gaps >= sigma, vectorized over m rows (labels ordered)."""
-    free = length - n * sigma
-    if free <= 0:
-        raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
-    u = np.sort(rng.uniform(0.0, free, size=(m, n)), axis=1)
-    return u + sigma * np.arange(n)
-
-
 def duality_residual(b1, f1_sampler, t: float, n_particles: int,
                      mc_samples: int, sigma: float, eps: Inelasticity,
                      seed: int, length: float = 1.0):
@@ -374,7 +361,9 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
         raise ConfigError("duality harness needs n_particles >= 2")
     rng = np.random.default_rng(seed)
     m, n = mc_samples, n_particles
-    q = _sorted_gap_positions(m, n, length, sigma, rng)
+    if n * sigma >= length:
+        raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
+    q = _gap_positions(m, n, length, sigma, rng)
     temp = getattr(f1_sampler, "temperature", 1.0)
     p = rng.normal(0.0, np.sqrt(temp), size=(m, n))
 

@@ -406,18 +406,8 @@ def advance_inverse(state: SystemState, dt: float,
     return out
 
 
-def evolve_observable(b, state0: SystemState, t: float, **kwargs) -> float:
-    """Evaluate an observable at the time-t phase point of the trajectory.
-
-    ``b`` is called as ``b(q, p)`` with the synchronized (N, d) arrays.
-    """
-    final = advance(state0, t, **kwargs)
-    return float(b(final.q, final.p))
-
-
 def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
-                         sigma: float, eps: Inelasticity,
-                         max_rounds: int | None = None):
+                         sigma: float, eps: Inelasticity):
     """Vectorized exact evolution of M independent 1D rod systems (unbounded).
 
     ``q``/``p`` have shape (M, N) with positions sorted ascending per row and
@@ -433,8 +423,7 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
     active = np.ones(m, dtype=bool)
     if n < 2 or t == 0.0:
         return q + p * t, p, ncol
-    if max_rounds is None:
-        max_rounds = 100 * n + 1000
+    max_rounds = 100 * n + 1000
     fac = 1.0 - eps.epsilon
     for _ in range(max_rounds):
         idx = np.nonzero(active)[0]

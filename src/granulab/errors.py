@@ -10,11 +10,7 @@ class InvalidCollisionError(GranulabError):
 
 
 class SamplingFailureError(GranulabError):
-    """Rejection sampler exhausted its attempt budget."""
-
-    def __init__(self, message, acceptance_rate=None):
-        super().__init__(message)
-        self.acceptance_rate = acceptance_rate
+    """No allowed configuration was found (or none exists)."""
 
 
 class EventStormError(GranulabError):
@@ -31,7 +27,3 @@ class DtGuardError(GranulabError):
 
 class ConfigError(GranulabError):
     """Invalid run configuration."""
-
-
-class NotImplementedOrderError(GranulabError):
-    """Requested expansion order is outside the implemented range."""

@@ -10,9 +10,7 @@ Two pieces share the collision algebra of :mod:`granulab.core`:
   binary collisions with kernel |p - p1| under a per-cell majorant.
 
 The gain term carries the pre-collision momenta and the 1/(1-2*eps)^2
-weight (inverse-map Jacobian times the kernel scaling); density
-corrections beyond the leading integral are exposed only as an order flag
-that rejects orders >= 1.
+weight (inverse-map Jacobian times the kernel scaling).
 """
 from __future__ import annotations
 
@@ -20,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Inelasticity
-from .errors import ConfigError, DtGuardError, NotImplementedOrderError
+from .core import Inelasticity, precollide
+from .errors import ConfigError, DtGuardError
 
 
 def maxwellian_product_f2(temperature: float = 1.0, density: float = 1.0,
@@ -41,8 +39,7 @@ def maxwellian_product_f2(temperature: float = 1.0, density: float = 1.0,
 
 def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
                               mc_budget: int, d: int = 1,
-                              rng: np.random.Generator | None = None,
-                              p_scale: float = 2.0, order: int = 0):
+                              rng: np.random.Generator | None = None):
     """Monte Carlo gain-minus-loss collision integral at the phase point x1.
 
     ``f2_eval(q1, p1, q2, p2)`` must accept (M, d) arrays.  The gain is
@@ -50,13 +47,9 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     the loss at q1 + sigma*eta; in 1D the contact normal is the sign of the
     relative momentum, in 3D it is drawn uniformly from the approach
     half-sphere (measure 2*pi) and the prefactor sigma^2 applies.
-    Momentum nodes use a centered Gaussian proposal of scale ``p_scale``.
+    Momentum nodes use a centered Gaussian proposal of scale 2.
     Returns (value, stderr).
     """
-    if order != 0:
-        raise NotImplementedOrderError(
-            f"collision-integral corrections of order {order} are not "
-            "implemented; only the leading (order 0) term is available")
     if d not in (1, 3):
         raise ConfigError(f"dimension must be 1 or 3, got {d}")
     if mc_budget < 2:
@@ -65,6 +58,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     q1, p1 = (np.asarray(a, dtype=float).reshape(d) for a in x1)
     m = int(mc_budget)
 
+    p_scale = 2.0
     p2 = rng.normal(0.0, p_scale, size=(m, d))
     rho = ((2.0 * np.pi * p_scale ** 2) ** (-0.5 * d)
            * np.exp(-0.5 * np.sum(p2 * p2, axis=1) / p_scale ** 2))
@@ -82,11 +76,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
         measure = 2.0 * np.pi
         prefac = sigma ** 2
     g_n = np.sum(eta * g, axis=1)
-
-    fac = 1.0 - eps.epsilon
-    kick = fac * eta * g_n[:, None]
-    p1_pre = p1[None, :] - kick / (1.0 - 2.0 * eps.epsilon)
-    p2_pre = p2 + kick / (1.0 - 2.0 * eps.epsilon)
+    p1_pre, p2_pre = precollide(p1, p2, eta, eps)
 
     q1b = np.broadcast_to(q1, (m, d))
     gain = np.asarray(f2_eval(q1b, p1_pre, q1b - sigma * eta, p2_pre),
@@ -325,12 +315,6 @@ class PhaseHistogram:
     def total_weight(self) -> float:
         return float(self.counts.sum())
 
-    def density(self) -> np.ndarray:
-        """Counts per unit phase-space area."""
-        dq = np.diff(self.q_edges)[:, None]
-        dp = np.diff(self.p_edges)[None, :]
-        return self.counts / (dq * dp)
-
     def momentum_marginal(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
@@ -339,7 +323,6 @@ class PhaseHistogram:
 class LimitSolution:
     """DSMC trajectory snapshots plus moment time series."""
 
-    times: list = field(default_factory=list)
     histograms: list = field(default_factory=list)
     moments: list = field(default_factory=list)  # (t, mass, mom, E, T)
     final_state: DsmcState | None = None
@@ -353,8 +336,8 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                          seed: int, n_samples: int = 100_000,
                          n_cells: int = 64, density: float = 1.0,
                          snapshot_times=None, q_bins: int = 16,
-                         p_bins: int = 48, p_range: float = 6.0,
-                         dt_max: float | None = None) -> LimitSolution:
+                         p_bins: int = 48,
+                         p_range: float = 6.0) -> LimitSolution:
     """DSMC solve of the 1D limit equation up to t_end.
 
     Snapshots are gridded into PhaseHistograms at the requested times
@@ -377,7 +360,6 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     sol = LimitSolution()
 
     def record_snapshot(s):
-        sol.times.append(s.time)
         sol.histograms.append(PhaseHistogram.from_samples(
             s.q, s.p, q_edges, p_edges, s.weight, time=s.time))
 
@@ -387,8 +369,6 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
         pending.pop(0)
     while state.time < t_end - 1e-12:
         dt = suggest_dt(state)
-        if dt_max is not None:
-            dt = min(dt, dt_max)
         target = pending[0] if pending else t_end
         dt = min(dt, target - state.time, t_end - state.time)
         for halvings in range(_MAX_DT_HALVINGS + 1):

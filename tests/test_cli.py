@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from granulab import cumulants
 from granulab.cli import config_hash, load_config, main
 from granulab.errors import ConfigError
 
@@ -146,6 +147,24 @@ class TestCheckCommands:
         rep = read_json(tmp_path / "report.json")
         assert rep["passed"] is True
         assert set(rep["coefficient_sums"]) == {"2", "3", "4", "5", "6"}
+        assert rep["generating_identity"] is True
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda terms: tuple((-c, ops) for c, ops in terms),
+        lambda terms: tuple(t for t in terms
+                            if t != (1, (frozenset({0, 1}),))),
+    ], ids=["sign_flipped", "without_S01"])
+    def test_cumulant_check_catches_wrong_generating_terms(
+            self, tmp_path, monkeypatch, corrupt):
+        original = cumulants.generating_term_list
+        monkeypatch.setattr(
+            cumulants, "generating_term_list",
+            lambda n, cluster_size=1: corrupt(original(n, cluster_size)))
+        rc = main(["cumulant-check", "--out", str(tmp_path)])
+        rep = read_json(tmp_path / "report.json")
+        assert rep["generating_identity"] is False
+        assert rep["passed"] is False
+        assert rc == 1
 
     def test_duality_small_grid(self, tmp_path):
         rc = main(["duality", "--out", str(tmp_path),

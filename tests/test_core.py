@@ -5,7 +5,6 @@ import pytest
 
 from granulab.core import (
     Inelasticity,
-    PhasePoint,
     SystemState,
     UniformMaxwellian,
     collide,
@@ -13,10 +12,10 @@ from granulab.core import (
     collision_jacobian,
     dissipation,
     precollide,
-    sample_chaotic_ensemble,
     sample_chaotic_state,
     unit_normal,
 )
+from granulab.core import _gap_positions
 from granulab.errors import InvalidCollisionError, SamplingFailureError
 
 
@@ -337,23 +336,17 @@ class TestSampleChaoticState:
         assert h.hexdigest() == digest
 
 
-class TestEnsembleSampler:
+class TestGapPositions:
     def test_shapes_and_validity(self):
+        # the non-periodic mode: sorted rows, every neighbour gap >= sigma
         rng = np.random.default_rng(16)
-        q, p = sample_chaotic_ensemble(500, 3, UniformMaxwellian(length=1.0),
-                                       0.05, None, rng)
-        assert q.shape == (500, 3, 1)
-        dq = np.abs(q[:, :, None, 0] - q[:, None, :, 0])
-        iu, ju = np.triu_indices(3, 1)
-        assert dq[:, iu, ju].min() >= 0.05
+        q = _gap_positions(500, 3, 1.0, 0.05, rng)
+        assert q.shape == (500, 3)
+        assert np.diff(q, axis=1).min() >= 0.05
+        assert q.min() >= 0.0 and q.max() < 1.0
 
 
 def test_unit_normal_validation():
     with pytest.raises(ValueError):
         unit_normal([1.0, 1.0, 0.0])
     np.testing.assert_allclose(unit_normal([0.0, 1.0, 0.0]), [0, 1, 0])
-
-
-def test_phase_point_dimension_check():
-    with pytest.raises(ValueError):
-        PhasePoint(np.zeros(3), np.zeros(2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from granulab.core import Inelasticity, UniformMaxwellian
-from granulab.errors import ConfigError, DtGuardError, NotImplementedOrderError
+from granulab.errors import ConfigError, DtGuardError
 from granulab.kinetic import (
     DsmcState,
     PhaseHistogram,
@@ -57,12 +57,6 @@ class TestEnskogIntegral:
         v2, e2 = enskog_collision_integral(f2, x1, 0.05, Inelasticity(0.25),
                                            mc_budget=40_000, rng=rng)
         assert abs(v1 - v2) <= 3 * np.hypot(e1, e2)
-
-    def test_order_guard(self):
-        f2 = maxwellian_product_f2()
-        with pytest.raises(NotImplementedOrderError):
-            enskog_collision_integral(f2, (np.array([0.0]), np.array([0.0])),
-                                      0.1, Inelasticity(0.1), 100, order=1)
 
 
 class TestDsmc:
