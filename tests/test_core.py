@@ -7,6 +7,7 @@ from granulab.core import (
     Inelasticity,
     SystemState,
     UniformMaxwellian,
+    _gap_positions,
     collide,
     collide_rods,
     collision_jacobian,
@@ -15,7 +16,6 @@ from granulab.core import (
     sample_chaotic_state,
     unit_normal,
 )
-from granulab.core import _gap_positions
 from granulab.errors import InvalidCollisionError, SamplingFailureError
 
 
