@@ -5,8 +5,8 @@ number density held fixed, builds empirical one- and two-particle
 marginals, and compares against the diameter-free DSMC solution of the
 limit equation.  The chaos metric is the L1 distance between the pair
 distribution and the product of singles on a coarse grid, always reported
-next to the same-sample-size floor measured on synthetic independent data
-(finite ensembles never reach zero).
+next to a floor measured on synthetic independent data with matched
+replica, particle and pair counts (finite ensembles never reach zero).
 """
 from __future__ import annotations
 
@@ -35,9 +35,36 @@ class ChaosReport:
     verdicts: dict = field(default_factory=dict)
 
 
+_Q_BINS, _P_BINS = 4, 24  # one-particle grid of D1
+_PAIR_Q_BINS, _PAIR_P_BINS = 2, 8  # coarse grid of G2
+_DSMC_CELLS = 8  # cells of the DSMC reference
+_TC_THRESHOLD = 1e-9  # elastic cutoff of the rod runs
+_CONFIG_KEYS = {"sigma_list", "eps", "t", "replicas", "seed", "n_particles",
+                "length", "temperature", "max_pairs", "dsmc_samples"}
+
+
 def _digitize(x, edges):
     idx = np.searchsorted(edges, x, side="right") - 1
     return np.clip(idx, 0, len(edges) - 2)
+
+
+def _ordered_pairs(n: int, max_pairs: int, rng: np.random.Generator):
+    """Ordered pairs (ii, jj), i != j, of n particles: all n(n-1) when that
+    is at most ``max_pairs``, else ``max_pairs`` drawn with replacement."""
+    if n * (n - 1) <= max_pairs:
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        mask = i != j
+        return i[mask], j[mask]
+    ii = rng.integers(0, n, size=max_pairs)
+    jj = rng.integers(0, n - 1, size=max_pairs)
+    return ii, np.where(jj >= ii, jj + 1, jj)
+
+
+def _chaos_norm(f1_counts, pair_counts) -> float:
+    """sum |pi2 - pi1 (x) pi1| of the pair and single-particle counts."""
+    pi1 = (f1_counts / f1_counts.sum()).ravel()
+    pi2 = pair_counts / pair_counts.sum()
+    return float(np.abs(pi2 - np.outer(pi1, pi1)).sum())
 
 
 def empirical_marginals(snapshots, q_edges, p_edges,
@@ -72,30 +99,20 @@ def empirical_marginals(snapshots, q_edges, p_edges,
         per_replica[r] = h / s.n
         f1_counts += h
         cell = qi * npb + pi
-        n = s.n
-        total = n * (n - 1)
-        if total <= max_pairs_per_replica:
-            i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            mask = i != j
-            ii, jj = i[mask], j[mask]
-        else:
-            ii = rng.integers(0, n, size=max_pairs_per_replica)
-            jj = rng.integers(0, n - 1, size=max_pairs_per_replica)
-            jj = np.where(jj >= ii, jj + 1, jj)
+        ii, jj = _ordered_pairs(s.n, max_pairs_per_replica, rng)
         np.add.at(pair_counts, (cell[ii], cell[jj]), 1.0)
         n_pairs += len(ii)
 
     f1 = PhaseHistogram(q_edges, p_edges, f1_counts)
-    pi1 = (f1_counts / f1_counts.sum()).ravel()
-    pi2 = pair_counts / pair_counts.sum()
-    g2 = float(np.abs(pi2 - np.outer(pi1, pi1)).sum())
-    return MarginalEstimate(f1, g2, per_replica, n_pairs)
+    return MarginalEstimate(f1, _chaos_norm(f1_counts, pair_counts),
+                            per_replica, n_pairs)
 
 
 def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
                  pairs_per_replica: int, rng: np.random.Generator,
                  n_trials: int = 3) -> float:
-    """Chaos-norm floor for truly independent particles at matched sizes."""
+    """Chaos-norm floor for truly independent particles at matched sizes:
+    i.i.d. cells from ``f1_probs``, pairs chosen as empirical_marginals does."""
     k = f1_probs.size
     probs = f1_probs.ravel() / f1_probs.sum()
     floors = []
@@ -105,14 +122,9 @@ def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
         for _ in range(n_replicas):
             cell = rng.choice(k, size=n_particles, p=probs)
             np.add.at(f1_counts, cell, 1.0)
-            m = min(pairs_per_replica, n_particles * (n_particles - 1))
-            ii = rng.integers(0, n_particles, size=m)
-            jj = rng.integers(0, n_particles - 1, size=m)
-            jj = np.where(jj >= ii, jj + 1, jj)
+            ii, jj = _ordered_pairs(n_particles, pairs_per_replica, rng)
             np.add.at(pair_counts, (cell[ii], cell[jj]), 1.0)
-        pi1 = f1_counts / f1_counts.sum()
-        pi2 = pair_counts / pair_counts.sum()
-        floors.append(float(np.abs(pi2 - np.outer(pi1, pi1)).sum()))
+        floors.append(_chaos_norm(f1_counts, pair_counts))
     return float(np.mean(floors))
 
 
@@ -135,13 +147,16 @@ def _d1_distance(per_replica_f1, ref_probs):
 def bg_study(config: dict) -> ChaosReport:
     """Scaling study: event-driven rod ensembles vs the limit equation.
 
-    Expects keys: sigma_list, eps, t, replicas, seed, n_particles, length,
-    temperature; optional q_bins, p_bins, pair_q_bins, pair_p_bins,
-    max_pairs, dsmc_samples, dsmc_cells, tc_threshold.  The number density
-    n_particles / length is the diameter-free scale shared with the DSMC
-    reference, so distances across sigma reflect only the particle system.
+    Expects keys: sigma_list, eps, t, replicas, seed, n_particles, length;
+    optional temperature, max_pairs, dsmc_samples; any other key raises
+    ConfigError.  The number density n_particles / length is the
+    diameter-free scale shared with the DSMC reference, so distances across
+    sigma reflect only the particle system.
     """
     cfg = dict(config)
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown bg_study config key(s) {unknown}")
     sigma_list = sorted(cfg["sigma_list"], reverse=True)
     eps = Inelasticity(float(cfg["eps"]))
     t = float(cfg["t"])
@@ -149,14 +164,8 @@ def bg_study(config: dict) -> ChaosReport:
     n = int(cfg["n_particles"])
     length = float(cfg["length"])
     temp = float(cfg.get("temperature", 1.0))
-    q_bins = int(cfg.get("q_bins", 4))
-    p_bins = int(cfg.get("p_bins", 24))
-    pair_q = int(cfg.get("pair_q_bins", 2))
-    pair_p = int(cfg.get("pair_p_bins", 8))
     max_pairs = int(cfg.get("max_pairs", 20_000))
     dsmc_samples = int(cfg.get("dsmc_samples", 100_000))
-    dsmc_cells = int(cfg.get("dsmc_cells", 8))
-    tc = cfg.get("tc_threshold", 1e-9)
     seed = int(cfg["seed"])
 
     density = n / length
@@ -167,19 +176,19 @@ def bg_study(config: dict) -> ChaosReport:
                 f"(n*sigma/L = {n * sigma / length:.3f} >= 0.2)")
 
     p_lim = 6.0 * np.sqrt(temp)
-    q_edges = np.linspace(0.0, length, q_bins + 1)
-    p_edges = np.linspace(-p_lim, p_lim, p_bins + 1)
-    pq_edges = np.linspace(0.0, length, pair_q + 1)
-    pp_edges = np.linspace(-p_lim, p_lim, pair_p + 1)
+    q_edges = np.linspace(0.0, length, _Q_BINS + 1)
+    p_edges = np.linspace(-p_lim, p_lim, _P_BINS + 1)
+    pq_edges = np.linspace(0.0, length, _PAIR_Q_BINS + 1)
+    pp_edges = np.linspace(-p_lim, p_lim, _PAIR_P_BINS + 1)
 
     # diameter-free reference, computed once and reused for every sigma
     dsmc_sampler = UniformMaxwellian(length=1.0, temperature=temp)
     sol = solve_limit_equation(dsmc_sampler, t, eps, seed=seed,
-                               n_samples=dsmc_samples, n_cells=dsmc_cells,
+                               n_samples=dsmc_samples, n_cells=_DSMC_CELLS,
                                density=density)
     ref_state = sol.final_state
     ref_p, _ = np.histogram(ref_state.p, bins=p_edges)
-    ref_probs = np.outer(np.full(q_bins, 1.0 / q_bins),
+    ref_probs = np.outer(np.full(_Q_BINS, 1.0 / _Q_BINS),
                          ref_p / ref_p.sum())
     ref_temperature = granular_temperature(ref_state)
 
@@ -193,7 +202,7 @@ def bg_study(config: dict) -> ChaosReport:
         for rs in seeds:
             rng = np.random.default_rng(rs)
             state = sample_chaotic_state(n, sampler, sigma, eps, length, rng)
-            sim = Simulation(state, tc_threshold=tc)
+            sim = Simulation(state, tc_threshold=_TC_THRESHOLD)
             sim.run(dt=t)
             snapshots.append(sim.state())
         est_rng = np.random.default_rng(np.random.SeedSequence(

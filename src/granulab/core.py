@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidCollisionError, SamplingFailureError
 
 _UNIT_TOL = 1e-12
+_MAX_ATTEMPTS = 100_000  # whole-configuration draws of the rejection path
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,6 @@ class SystemState:
     def d(self) -> int:
         return self.q.shape[1]
 
-    def separation(self, i: int, j: int) -> float:
-        """Minimum-image distance between particles i and j."""
-        dq = self.q[i] - self.q[j]
-        if self.box is not None:
-            dq -= self.box * np.round(dq / self.box)
-        return float(np.linalg.norm(dq))
-
     def min_separation(self) -> float:
         """Smallest pair distance (minimum image); O(N log N) in 1D."""
         if self.n < 2:
@@ -280,7 +274,6 @@ def sample_chaotic_state(
     eps: Inelasticity,
     box: float | None,
     rng: np.random.Generator,
-    max_attempts: int = 100_000,
     method: str = "auto",
 ) -> SystemState:
     """Draw an N-particle chaotic (product) state on allowed configurations.
@@ -318,11 +311,11 @@ def sample_chaotic_state(
     if n >= 2 and box is not None and sigma >= box / 2.0:
         raise SamplingFailureError(
             f"no allowed configuration: sigma = {sigma} >= box/2 = {box / 2.0}")
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(_MAX_ATTEMPTS):
         q, p = f1_sampler.sample(n, rng)
         state = SystemState(q, p, sigma, eps, box)
         if state.min_separation() >= sigma:
             return state
     raise SamplingFailureError(
-        f"no allowed configuration in {max_attempts} attempts "
+        f"no allowed configuration in {_MAX_ATTEMPTS} attempts "
         f"(n={n}, sigma={sigma})")

@@ -9,7 +9,6 @@ gridded densities.  Covered pieces:
 * cumulants of semigroups applied to observables, read off configurations
   assembled from isolated block evolutions; one partition-sum evaluator
   evolves each distinct block once (2^k - 1 blocks, Bell(k) partitions);
-* low-order marginal-observable expansions (s <= 2);
 * scattering cumulants (interacting flow composed with inverse free flow)
   and the order-1 generating-operator identity;
 * a truncated two-particle marginal functional of the state;
@@ -120,32 +119,6 @@ def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
             pp[idx] = pb
         total += c * float(b(qq, pp))
     return total
-
-
-def evolve_marginal_observable(s: int, b1, t: float, q, p, sigma: float,
-                               eps: Inelasticity, b2=None,
-                               box: float | None = None) -> float:
-    """Low-order marginal observable at time t.
-
-    ``b1`` maps a single phase point (q_i, p_i) to a real; the optional
-    ``b2`` maps a particle pair.  For s=2 the value is the cluster term on
-    ``b2`` plus the second-order cumulant applied to b1(x1) + b1(x2); a
-    purely additive observable keeps only the latter.
-    """
-    if s not in (1, 2):
-        raise ConfigError(f"marginal observables implemented for s <= 2, got {s}")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if s == 1:
-        return apply_cumulant(0, t, lambda qq, pp: b1(qq[0], pp[0]),
-                              q, p, sigma, eps, cluster_size=1, box=box)
-    additive = lambda qq, pp: b1(qq[0], pp[0]) + b1(qq[1], pp[1])
-    value = apply_cumulant(1, t, additive, q, p, sigma, eps,
-                           cluster_size=1, box=box)
-    if b2 is not None:
-        value += apply_cumulant(0, t, lambda qq, pp: b2(qq, pp),
-                                q, p, sigma, eps, cluster_size=2, box=box)
-    return value
 
 
 # -- scattering cumulants --------------------------------------------------
@@ -271,13 +244,10 @@ def _transported_density(f1_sampler, t, box):
         q0 = qi - pi * t
         if box is not None:
             q0 = np.mod(q0, box)
-        vol = getattr(f1_sampler, "length", None)
-        val = float(f1_sampler.momentum_pdf(pi[None, :])[0])
-        if vol is not None:
-            if box is None and not np.all((0.0 <= q0) & (q0 < vol)):
-                return 0.0
-            val /= vol
-        return val
+        vol = f1_sampler.length
+        if box is None and not np.all((0.0 <= q0) & (q0 < vol)):
+            return 0.0
+        return float(f1_sampler.momentum_pdf(pi[None, :])[0]) / vol
     return f1_t
 
 
@@ -344,7 +314,7 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
 
 def duality_residual(b1, f1_sampler, t: float, n_particles: int,
                      mc_samples: int, sigma: float, eps: Inelasticity,
-                     seed: int, length: float = 1.0):
+                     seed: int):
     """Monte Carlo residual of the observable/state duality.
 
     The state side evolves sampled configurations forward and evaluates the
@@ -352,8 +322,10 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     all particle subsets of the same sampled configurations (common random
     numbers), which telescopes to the full-system evolution for a fixed
     particle number.  Each subset evolves once, however many partitions
-    contain it as a block.  ``b1(q, p)`` must act elementwise on arrays of
-    scalar 1D positions/momenta.  Returns (residual, stderr); the stderr
+    contain it as a block.  Positions are drawn on [0, ``f1_sampler.length``)
+    and momenta from a Gaussian of variance ``f1_sampler.temperature``.
+    ``b1(q, p)`` must act elementwise on arrays of scalar 1D
+    positions/momenta.  Returns (residual, stderr); the stderr
     carries a floor so the z-score is well defined when the coupled
     estimator is exact to rounding.
     """
@@ -361,11 +333,11 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
         raise ConfigError("duality harness needs n_particles >= 2")
     rng = np.random.default_rng(seed)
     m, n = mc_samples, n_particles
+    length = f1_sampler.length
     if n * sigma >= length:
         raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
     q = _gap_positions(m, n, length, sigma, rng)
-    temp = getattr(f1_sampler, "temperature", 1.0)
-    p = rng.normal(0.0, np.sqrt(temp), size=(m, n))
+    p = rng.normal(0.0, np.sqrt(f1_sampler.temperature), size=(m, n))
 
     def evolve(block):
         # b1 of each particle of the block when the block evolves in isolation

@@ -131,7 +131,7 @@ def dsmc_init(f1_sampler, n_samples: int, n_cells: int, eps: Inelasticity,
               rng: np.random.Generator, density: float = 1.0) -> DsmcState:
     """Draw an initial DSMC ensemble from a one-particle sampler."""
     q, p = f1_sampler.sample(n_samples, rng)
-    length = float(getattr(f1_sampler, "length", 1.0))
+    length = float(f1_sampler.length)
     return DsmcState(np.asarray(q)[:, 0], np.asarray(p)[:, 0], length,
                      n_cells, eps, weight=density * length / n_samples)
 
@@ -311,13 +311,6 @@ class PhaseHistogram:
         return cls(q_edges, p_edges, counts * sample_weight,
                    sample_weight, time)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.counts.sum())
-
-    def momentum_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 @dataclass
 class LimitSolution:
@@ -336,8 +329,7 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                          seed: int, n_samples: int = 100_000,
                          n_cells: int = 64, density: float = 1.0,
                          snapshot_times=None, q_bins: int = 16,
-                         p_bins: int = 48,
-                         p_range: float = 6.0) -> LimitSolution:
+                         p_bins: int = 48) -> LimitSolution:
     """DSMC solve of the 1D limit equation up to t_end.
 
     Snapshots are gridded into PhaseHistograms at the requested times
@@ -351,7 +343,7 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     state = dsmc_init(f1_sampler, n_samples, n_cells, eps, rng,
                       density=density)
     q_edges = np.linspace(0.0, state.length, q_bins + 1)
-    p_lim = p_range * np.sqrt(max(granular_temperature(state), 1e-12))
+    p_lim = 6.0 * np.sqrt(max(granular_temperature(state), 1e-12))
     p_edges = np.linspace(-p_lim, p_lim, p_bins + 1)
     if snapshot_times is None:
         snapshot_times = [0.0, t_end]

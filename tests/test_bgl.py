@@ -56,7 +56,7 @@ class TestEmpiricalMarginals:
         # every ordered pair of every replica is counted once
         assert est.n_pairs == sum(s.n * (s.n - 1) for s in snaps)
         assert est.n_pairs == 3 * 40 * 39
-        assert est.F1.total_weight == 3 * 40
+        assert est.F1.counts.sum() == 3 * 40
 
     def test_iid_data_sits_at_floor(self):
         rng = np.random.default_rng(2)
@@ -69,6 +69,26 @@ class TestEmpiricalMarginals:
         floor = g2_iid_floor(est.F1.counts, replicas, n, 4000, rng,
                              n_trials=5)
         assert 0.5 * floor < est.g2_norm < 1.6 * floor
+
+    def test_iid_data_sits_at_floor_all_pairs(self):
+        # n(n-1) = 1560 <= max_pairs, so the data side counts every ordered
+        # pair and the floor must too.  One data set scatters over 0.7-1.4
+        # of its floor, so the ratio is averaged over 16 sets: over seeds
+        # 1000-1299 that mean lay in 0.92-1.19, and in 0.62-0.76 with a
+        # floor that draws its pairs with replacement
+        rng = np.random.default_rng(3)
+        replicas, n = 12, 40
+        q_edges = np.linspace(0, 1, 3)
+        p_edges = np.linspace(-4, 4, 9)
+        ratios = []
+        for _ in range(16):
+            snaps = synthetic_snapshots(rng, replicas, n)
+            est = empirical_marginals(snaps, q_edges, p_edges,
+                                      max_pairs_per_replica=10_000, rng=rng)
+            floor = g2_iid_floor(est.F1.counts, replicas, n, 10_000, rng,
+                                 n_trials=5)
+            ratios.append(est.g2_norm / floor)
+        assert 0.82 < np.mean(ratios) < 1.3
 
 
 class TestBgStudy:
@@ -109,6 +129,11 @@ class TestBgStudy:
         cfg = dict(self.base, sigma_list=[0.5])
         with pytest.raises(ConfigError):
             bg_study(cfg)
+
+    @pytest.mark.parametrize("key", ["replica", "q_bins", "tc_threshold"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            bg_study(dict(self.base, **{key: 4}))
 
     def test_deterministic(self):
         r1 = bg_study(self.base)

@@ -218,7 +218,7 @@ class TestSystemState:
         # particles at 0.05 and 0.95 on a unit circle are 0.1 apart
         s = SystemState(np.array([[0.05], [0.95]]), np.zeros((2, 1)),
                         sigma=0.2, eps=Inelasticity(0.0), box=1.0)
-        assert s.separation(0, 1) == pytest.approx(0.1)
+        assert s.min_separation() == pytest.approx(0.1)
         assert not s.is_allowed()
 
     def test_sigma_box_invariant(self):
@@ -239,8 +239,7 @@ class TestSampleChaoticState:
         with pytest.raises(SamplingFailureError):
             # 2 * 0.6 > 1: the forbidden set covers the whole torus
             sample_chaotic_state(2, UniformMaxwellian(length=1.0), 0.6,
-                                 Inelasticity(0.0), box=1.0, rng=rng,
-                                 max_attempts=500)
+                                 Inelasticity(0.0), box=1.0, rng=rng)
 
     def test_acceptance_probability_two_rods(self):
         # joint rejection acceptance on the circle: 1 - 2*sigma/L

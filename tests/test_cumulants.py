@@ -7,7 +7,6 @@ from granulab.cumulants import (
     combine_terms,
     duality_residual,
     enumerate_cumulant_terms,
-    evolve_marginal_observable,
     generating_term_list,
     marginal_functional_F2,
     scattering_cumulant,
@@ -100,34 +99,36 @@ class TestApplyCumulant:
 
 
 class TestMarginalObservable:
+    """Marginal observables of order s <= 2 through ``apply_cumulant``: s=1
+    is the order-0 cumulant of b1(x1); s=2 is the order-1 cumulant of
+    b1(x1) + b1(x2), plus the order-0 cumulant of b2 on a two-rod cluster."""
     eps = Inelasticity(0.25)
     b1 = staticmethod(lambda qi, pi: 0.5 * float(pi @ pi))
+
+    def additive(self, qq, pp):
+        return self.b1(qq[0], pp[0]) + self.b1(qq[1], pp[1])
 
     def test_additive_s2_matches_cumulant(self):
         q = np.array([[0.0], [1.0]])
         p = np.array([[1.0], [0.0]])
-        val = evolve_marginal_observable(2, self.b1, 1.0, q, p, 0.1, self.eps)
+        val = apply_cumulant(1, 1.0, self.additive, q, p, 0.1, self.eps)
         assert val == pytest.approx(-0.1875, abs=1e-12)
 
     def test_initial_condition(self):
         q = np.array([[0.0], [0.5]])
         p = np.array([[1.0], [-1.0]])
         b2 = lambda qq, pp: float(pp[0] @ pp[1])
-        val = evolve_marginal_observable(2, self.b1, 0.0, q, p, 0.1, self.eps,
-                                         b2=b2)
+        val = (apply_cumulant(1, 0.0, self.additive, q, p, 0.1, self.eps)
+               + apply_cumulant(0, 0.0, b2, q, p, 0.1, self.eps,
+                                cluster_size=2))
         assert val == pytest.approx(b2(q, p), abs=1e-14)
 
     def test_s1_free_transport(self):
         q = np.array([[0.0]])
         p = np.array([[2.0]])
-        b1 = lambda qi, pi: float(qi[0])
-        val = evolve_marginal_observable(1, b1, 1.5, q, p, 0.1, self.eps)
+        b1 = lambda qq, pp: float(qq[0, 0])
+        val = apply_cumulant(0, 1.5, b1, q, p, 0.1, self.eps)
         assert val == pytest.approx(3.0)
-
-    def test_unsupported_s(self):
-        with pytest.raises(ConfigError):
-            evolve_marginal_observable(3, self.b1, 1.0, np.zeros((3, 1)),
-                                       np.zeros((3, 1)), 0.1, self.eps)
 
 
 class TestScatteringCumulant:
@@ -273,6 +274,12 @@ class TestDualityResidual:
                                     1.0, n, 5000, 0.02, Inelasticity(eps),
                                     seed=3)
         assert abs(res) < 3 * err
+
+    def test_reads_sampler_length(self):
+        # two rods of diameter 0.02 do not fit on the sampler's [0, 0.03)
+        with pytest.raises(ConfigError):
+            duality_residual(lambda q, p: q, UniformMaxwellian(length=0.03),
+                             0.5, 2, 100, 0.02, Inelasticity(0.25), seed=1)
 
     def test_sides_individually_move(self):
         # with dissipation the coupled estimator is exact even though the

@@ -67,6 +67,17 @@ class TestPairCollisionTime:
         for engine in ("adjacent", "allpairs"):
             assert first_contact(s, engine) == pytest.approx(0.15 / 2)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(a)")
+    def test_periodic_wraparound_3d(self):
+        # the pair recedes in the minimum image (1.5 apart) but meets across
+        # the wrap: gap 4 - 1.5 - 0.2 closing at speed 2
+        q = np.array([[1.0, 0, 0], [2.5, 0, 0]])
+        p = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
+        s = SystemState(q, p, sigma=0.2, eps=Inelasticity(0.0), box=4.0)
+        log = TrajectoryLog()
+        advance(s, 2.0, log=log)
+        assert log.n_events > 0 and log.events[0].t == pytest.approx(1.15)
+
 
 class TestAdvance:
     def test_free_motion(self):
