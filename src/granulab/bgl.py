@@ -39,6 +39,7 @@ _Q_BINS, _P_BINS = 4, 24  # one-particle grid of D1
 _PAIR_Q_BINS, _PAIR_P_BINS = 2, 8  # coarse grid of G2
 _DSMC_CELLS = 8  # cells of the DSMC reference
 _TC_THRESHOLD = 1e-9  # elastic cutoff of the rod runs
+_FLOOR_TRIALS = 3  # synthetic data sets averaged into the G2 floor
 _CONFIG_KEYS = {"sigma_list", "eps", "t", "replicas", "seed", "n_particles",
                 "length", "temperature", "max_pairs", "dsmc_samples"}
 
@@ -68,8 +69,8 @@ def _chaos_norm(f1_counts, pair_counts) -> float:
 
 
 def empirical_marginals(snapshots, q_edges, p_edges,
-                        max_pairs_per_replica: int = 20_000,
-                        rng: np.random.Generator | None = None):
+                        max_pairs_per_replica: int, *,
+                        rng: np.random.Generator):
     """One- and two-particle marginals from replica snapshots.
 
     F1 pools all particles; ordered pairs within each replica (subsampled
@@ -82,7 +83,6 @@ def empirical_marginals(snapshots, q_edges, p_edges,
         raise ConfigError("no snapshots given")
     if any(s.n < 2 for s in snapshots):
         raise ConfigError("pair marginal undefined for single-particle replicas")
-    rng = np.random.default_rng() if rng is None else rng
     q_edges = np.asarray(q_edges, dtype=float)
     p_edges = np.asarray(p_edges, dtype=float)
     nq, npb = len(q_edges) - 1, len(p_edges) - 1
@@ -109,14 +109,14 @@ def empirical_marginals(snapshots, q_edges, p_edges,
 
 
 def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
-                 pairs_per_replica: int, rng: np.random.Generator,
-                 n_trials: int = 3) -> float:
+                 pairs_per_replica: int, rng: np.random.Generator) -> float:
     """Chaos-norm floor for truly independent particles at matched sizes:
-    i.i.d. cells from ``f1_probs``, pairs chosen as empirical_marginals does."""
+    i.i.d. cells from ``f1_probs``, pairs chosen as empirical_marginals does,
+    averaged over ``_FLOOR_TRIALS`` synthetic data sets."""
     k = f1_probs.size
     probs = f1_probs.ravel() / f1_probs.sum()
     floors = []
-    for _ in range(n_trials):
+    for _ in range(_FLOOR_TRIALS):
         pair_counts = np.zeros((k, k))
         f1_counts = np.zeros(k)
         for _ in range(n_replicas):
@@ -207,12 +207,10 @@ def bg_study(config: dict) -> ChaosReport:
             snapshots.append(sim.state())
         est_rng = np.random.default_rng(np.random.SeedSequence(
             entropy=master.entropy, spawn_key=(si, 1)))
-        fine = empirical_marginals(snapshots, q_edges, p_edges,
-                                   max_pairs_per_replica=max_pairs,
+        fine = empirical_marginals(snapshots, q_edges, p_edges, max_pairs,
                                    rng=est_rng)
         coarse = empirical_marginals(snapshots, pq_edges, pp_edges,
-                                     max_pairs_per_replica=max_pairs,
-                                     rng=est_rng)
+                                     max_pairs, rng=est_rng)
         d1, d1_err = _d1_distance(fine.per_replica_f1, ref_probs)
         floor = g2_iid_floor(coarse.F1.counts, replicas, n,
                              max_pairs, est_rng)

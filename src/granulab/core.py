@@ -133,15 +133,12 @@ def dissipation(p1, p2, eta, eps: Inelasticity):
     return -eps.epsilon * (1.0 - eps.epsilon) * g * g
 
 
-def collision_jacobian(eps: Inelasticity, d: int = 1) -> float:
-    """|det| of the forward collision map on (p1, p2).
+def collision_jacobian(eps: Inelasticity) -> float:
+    """|det| of the forward collision map on (p1, p2), in any dimension.
 
     Only the two normal components transform non-trivially; the 1D block
-    [[eps, 1-eps], [1-eps, eps]] has determinant of magnitude 1 - 2*eps,
-    independent of the dimension.
+    [[eps, 1-eps], [1-eps, eps]] has determinant of magnitude 1 - 2*eps.
     """
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
     return 1.0 - 2.0 * eps.epsilon
 
 
@@ -274,39 +271,27 @@ def sample_chaotic_state(
     eps: Inelasticity,
     box: float | None,
     rng: np.random.Generator,
-    method: str = "auto",
 ) -> SystemState:
     """Draw an N-particle chaotic (product) state on allowed configurations.
 
     The target measure is the i.i.d. product of the one-particle density
-    conditioned *jointly* on the non-overlap event.  Two exact routes:
+    conditioned *jointly* on the non-overlap event.  A
+    :class:`UniformMaxwellian` with ``d == 1`` and ``length == box`` takes
+    the exact gap-insertion draw of :func:`_gap_positions`, at any n; every
+    other input resamples whole configurations until one is allowed.
 
-    * ``rejection`` -- resample whole configurations until one is allowed;
-    * ``direct`` -- for uniform positions on a periodic 1D box, an exact
-      gap-insertion construction (no rejection), used automatically for
-      large N where whole-configuration rejection would never terminate.
-
-    Raises :class:`SamplingFailureError` when the attempt budget is
-    exhausted, or at once when no allowed configuration exists (sigma >=
-    box/2 with two or more rods, or n*sigma >= box on the direct path).
+    Raises :class:`SamplingFailureError` when no allowed configuration
+    exists (n*sigma >= box for gap insertion, sigma >= box/2 with two or
+    more rods for rejection) or the rejection attempt budget runs out.
     """
-    direct_ok = (isinstance(f1_sampler, UniformMaxwellian)
-                 and f1_sampler.d == 1 and f1_sampler.length == box)
-    if method == "auto":
-        method = "direct" if (direct_ok and n > 16) else "rejection"
-    if method == "direct":
-        if not direct_ok:
-            raise ValueError(
-                "direct sampling requires uniform positions on a periodic 1D box"
-            )
+    if (isinstance(f1_sampler, UniformMaxwellian) and f1_sampler.d == 1
+            and f1_sampler.length == box):
         if n * sigma >= box:
             raise SamplingFailureError(
                 f"no allowed configuration: n*sigma = {n * sigma} >= L = {box}")
         q = _gap_positions(1, n, box, sigma, rng, periodic=True).reshape(n, 1)
         _, p = f1_sampler.sample(n, rng)
         return SystemState(q, p, sigma, eps, box)
-    if method != "rejection":
-        raise ValueError(f"unknown sampling method {method!r}")
 
     if n >= 2 and box is not None and sigma >= box / 2.0:
         raise SamplingFailureError(

@@ -151,13 +151,16 @@ def _scatter_map(q, p, idx, t, sigma, eps, box, orientation):
     return q2, p2, weight
 
 
-def _apply_ops(ops, q, p, t, sigma, eps, box, orientation):
-    weight = 1.0
-    for subset in ops:
-        q, p, w = _scatter_map(q, p, sorted(subset), t, sigma, eps, box,
-                               orientation)
-        weight *= w
-    return q, p, weight
+def _apply_terms(terms, q, p, t, sigma, eps, box, orientation):
+    """Yield (coefficient, q, p, weight) per (coefficient, ops) term: the
+    term's scattering maps applied left to right, their weights multiplied."""
+    for coeff, ops in terms:
+        qq, pp, weight = q, p, 1.0
+        for subset in ops:
+            qq, pp, w = _scatter_map(qq, pp, sorted(subset), t, sigma, eps,
+                                     box, orientation)
+            weight *= w
+        yield coeff, qq, pp, weight
 
 
 def scattering_term_list(n: int, cluster_size: int = 1):
@@ -226,14 +229,10 @@ def scattering_cumulant(n: int, t: float, q, p, sigma: float,
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     allowed = SystemState(q, p, sigma, eps, box).is_allowed(tol=1e-12)
-    out = []
-    for coeff, ops in scattering_term_list(n, cluster_size):
-        if not allowed:
-            out.append((coeff, q, p, 0.0))
-            continue
-        qq, pp, w = _apply_ops(ops, q, p, t, sigma, eps, box, orientation)
-        out.append((coeff, qq, pp, w))
-    return out
+    terms = scattering_term_list(n, cluster_size)
+    if not allowed:
+        return [(coeff, q, p, 0.0) for coeff, _ in terms]
+    return list(_apply_terms(terms, q, p, t, sigma, eps, box, orientation))
 
 
 # -- marginal functionals of the state -------------------------------------
@@ -299,8 +298,8 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
                 samples[m] = 0.0
                 continue
             acc = 0.0
-            for coeff, ops in term_list:
-                qq, pp, w = _apply_ops(ops, qm, pm, t, sigma, eps, box, "state")
+            for coeff, qq, pp, w in _apply_terms(term_list, qm, pm, t, sigma,
+                                                 eps, box, "state"):
                 acc += coeff * w * (f1_t(qq[0], pp[0]) * f1_t(qq[1], pp[1])
                                     * f1_t(qq[2], pp[2]))
             samples[m] = acc / denom

@@ -108,7 +108,8 @@ class Simulation:
     inelastic collapse: rapid event sequences stop dissipating, so a
     collapsing cluster sorts its velocities elastically and disperses);
     it is off by default.  ``storm_limit`` aborts the run when any particle
-    exceeds that many events within one unit of time.
+    exceeds that many events within one unit of time.  ``engine="allpairs"``
+    runs the all-pairs engine in 1D, as the oracle of the adjacency engine.
     """
 
     def __init__(self, state: SystemState, log: TrajectoryLog | None = None,
@@ -378,19 +379,16 @@ class Simulation:
         return out
 
 
-def advance(state: SystemState, dt: float, log: TrajectoryLog | None = None,
-            engine: str = "auto", tc_threshold: float | None = None,
-            storm_limit: float = 1e5) -> SystemState:
-    """Evolve a state forward by dt along the hard-sphere flow."""
-    sim = Simulation(state, log=log, engine=engine,
-                     tc_threshold=tc_threshold, storm_limit=storm_limit)
+def advance(state: SystemState, dt: float,
+            log: TrajectoryLog | None = None) -> SystemState:
+    """Evolve a state forward by dt under a default :class:`Simulation`."""
+    sim = Simulation(state, log=log)
     sim.run(dt=dt)
     return sim.state()
 
 
 def advance_inverse(state: SystemState, dt: float,
-                    log: TrajectoryLog | None = None,
-                    engine: str = "auto") -> SystemState:
+                    log: TrajectoryLog | None = None) -> SystemState:
     """Evolve a state backward by dt: free flight with -p, pre-collision
     momenta at contacts.  Inverse of :func:`advance` for the same dt.
 
@@ -399,7 +397,7 @@ def advance_inverse(state: SystemState, dt: float,
     no TC rule, so it cannot invert a forward run that used
     ``tc_threshold`` (whose elastic collisions it would undo inelastically).
     """
-    sim = Simulation(state, log=log, rule="inverse", engine=engine)
+    sim = Simulation(state, log=log, rule="inverse")
     sim.run(dt=dt)
     out = sim.state()
     out.time = state.time - dt

@@ -22,9 +22,9 @@ from .core import Inelasticity, precollide
 from .errors import ConfigError, DtGuardError
 
 
-def maxwellian_product_f2(temperature: float = 1.0, density: float = 1.0,
-                          d: int = 1):
-    """Spatially uniform product two-particle density with Gaussian momenta."""
+def maxwellian_product_f2(temperature: float = 1.0, d: int = 1):
+    """Spatially uniform product two-particle density with Gaussian momenta,
+    at unit number density."""
     norm = (2.0 * np.pi * temperature) ** (-0.5 * d)
 
     def f2(q1, p1, q2, p2):
@@ -32,14 +32,14 @@ def maxwellian_product_f2(temperature: float = 1.0, density: float = 1.0,
         p2 = np.atleast_2d(p2)
         e1 = norm * np.exp(-0.5 * np.sum(p1 * p1, axis=-1) / temperature)
         e2 = norm * np.exp(-0.5 * np.sum(p2 * p2, axis=-1) / temperature)
-        return density * density * e1 * e2
+        return e1 * e2
 
     return f2
 
 
 def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
-                              mc_budget: int, d: int = 1,
-                              rng: np.random.Generator | None = None):
+                              mc_budget: int, d: int = 1, *,
+                              rng: np.random.Generator):
     """Monte Carlo gain-minus-loss collision integral at the phase point x1.
 
     ``f2_eval(q1, p1, q2, p2)`` must accept (M, d) arrays.  The gain is
@@ -54,7 +54,6 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
         raise ConfigError(f"dimension must be 1 or 3, got {d}")
     if mc_budget < 2:
         raise ConfigError("mc_budget must be at least 2")
-    rng = np.random.default_rng() if rng is None else rng
     q1, p1 = (np.asarray(a, dtype=float).reshape(d) for a in x1)
     m = int(mc_budget)
 
@@ -350,16 +349,15 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     pending = sorted(set(float(t) for t in snapshot_times))
 
     sol = LimitSolution()
-
-    def record_snapshot(s):
-        sol.histograms.append(PhaseHistogram.from_samples(
-            s.q, s.p, q_edges, p_edges, s.weight, time=s.time))
-
-    sol.moments.append((state.time,) + dsmc_moments(state))
-    while pending and pending[0] <= state.time + 1e-12:
-        record_snapshot(state)
-        pending.pop(0)
-    while state.time < t_end - 1e-12:
+    while True:
+        sol.moments.append((state.time,) + dsmc_moments(state))
+        while pending and pending[0] <= state.time + 1e-12:
+            sol.histograms.append(PhaseHistogram.from_samples(
+                state.q, state.p, q_edges, p_edges, state.weight,
+                time=state.time))
+            pending.pop(0)
+        if not state.time < t_end - 1e-12:
+            break
         dt = suggest_dt(state)
         target = pending[0] if pending else t_end
         dt = min(dt, target - state.time, t_end - state.time)
@@ -372,23 +370,22 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                     raise
                 dt *= 0.5
                 sol.dt_halvings += 1
-        sol.moments.append((state.time,) + dsmc_moments(state))
-        while pending and pending[0] <= state.time + 1e-12:
-            record_snapshot(state)
-            pending.pop(0)
     sol.final_state = state
     return sol
 
 
+_QUADRATURE_BINS = 256
+
+
 def energy_moment_quadrature(p_samples, eps: Inelasticity,
-                             number_density: float, bins: int = 256):
+                             number_density: float):
     """dT/dt of a homogeneous 1D gas by quadrature of the collision
     integral's energy moment at the empirical momentum distribution.
 
     Per collision of momenta (p, p1) the energy loss is
     eps*(1-eps)*(p-p1)^2 and the collision rate density carries the kernel
     |p-p1|; binning the samples reduces the pair sum to the histogram
-    outer product.
+    outer product on ``_QUADRATURE_BINS`` equal bins.
     """
     p = np.ravel(np.asarray(p_samples, dtype=float))
     if p.size < 2:
@@ -396,7 +393,7 @@ def energy_moment_quadrature(p_samples, eps: Inelasticity,
     lo, hi = p.min(), p.max()
     if hi - lo <= 0:
         return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _QUADRATURE_BINS + 1)
     counts, _ = np.histogram(p, bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     frac = counts / p.size

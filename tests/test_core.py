@@ -16,6 +16,7 @@ from granulab.core import (
     sample_chaotic_state,
     unit_normal,
 )
+from granulab import core
 from granulab.errors import InvalidCollisionError, SamplingFailureError
 
 
@@ -179,10 +180,10 @@ class TestDissipation:
 
 class TestCollisionJacobian:
     def test_elastic(self):
-        assert collision_jacobian(Inelasticity(0.0), 1) == 1.0
+        assert collision_jacobian(Inelasticity(0.0)) == 1.0
 
     def test_quarter(self):
-        assert collision_jacobian(Inelasticity(0.25), 3) == pytest.approx(0.5)
+        assert collision_jacobian(Inelasticity(0.25)) == pytest.approx(0.5)
 
     def test_monte_carlo_change_of_variables(self):
         # P uniform on the square S => T(P) has density 1/(|S| |det T|) on
@@ -198,7 +199,7 @@ class TestCollisionJacobian:
         p1s, p2s = collide(p1, p2, eta, eps)
         b = 0.4  # T^-1(B) stays inside S: |delta| <= 2b/(1-2eps) = 2, |sum| <= 2b
         hits = np.mean((np.abs(p1s[:, 0]) <= b) & (np.abs(p2s[:, 0]) <= b))
-        p_exact = (2 * b) ** 2 / ((2 * a) ** 2 * collision_jacobian(eps, 1))
+        p_exact = (2 * b) ** 2 / ((2 * a) ** 2 * collision_jacobian(eps))
         stderr = np.sqrt(p_exact * (1 - p_exact) / n)
         assert abs(hits - p_exact) < 3 * stderr
 
@@ -227,19 +228,45 @@ class TestSystemState:
                         sigma=0.6, eps=Inelasticity(0.0), box=1.0)
 
 
+class Counting:
+    """A one-particle sampler that is not a UniformMaxwellian, so
+    sample_chaotic_state takes its rejection path; counts its draws."""
+
+    def __init__(self, sampler):
+        self.sampler, self.calls = sampler, 0
+
+    def sample(self, n, rng):
+        self.calls += 1
+        return self.sampler.sample(n, rng)
+
+
 class TestSampleChaoticState:
     def test_single_particle_never_rejected(self):
         rng = np.random.default_rng(11)
-        s = sample_chaotic_state(1, UniformMaxwellian(length=1.0), 0.4,
-                                 Inelasticity(0.0), box=1.0, rng=rng)
-        assert s.n == 1
+        sampler = Counting(UniformMaxwellian(length=1.0))
+        s = sample_chaotic_state(1, sampler, 0.4, Inelasticity(0.0),
+                                 box=1.0, rng=rng)
+        assert s.n == 1 and sampler.calls == 1
 
     def test_geometric_infeasibility(self):
+        # 2 * 0.6 > 1: the forbidden set covers the whole torus; both the
+        # gap-insertion and the rejection path refuse before any draw
         rng = np.random.default_rng(12)
-        with pytest.raises(SamplingFailureError):
-            # 2 * 0.6 > 1: the forbidden set covers the whole torus
-            sample_chaotic_state(2, UniformMaxwellian(length=1.0), 0.6,
-                                 Inelasticity(0.0), box=1.0, rng=rng)
+        sampler = UniformMaxwellian(length=1.0)
+        for path, f1 in (("n\\*sigma", sampler), ("box/2", Counting(sampler))):
+            with pytest.raises(SamplingFailureError, match=path):
+                sample_chaotic_state(2, f1, 0.6, Inelasticity(0.0), box=1.0,
+                                     rng=rng)
+
+    def test_rejection_attempt_budget(self, monkeypatch):
+        # three rods of diameter 0.45 cannot fit on a unit circle, yet
+        # sigma < box/2, so only the attempt budget ends the loop
+        monkeypatch.setattr(core, "_MAX_ATTEMPTS", 50)
+        sampler = Counting(UniformMaxwellian(length=1.0))
+        with pytest.raises(SamplingFailureError, match="50 attempts"):
+            sample_chaotic_state(3, sampler, 0.45, Inelasticity(0.0),
+                                 box=1.0, rng=np.random.default_rng(17))
+        assert sampler.calls == 50
 
     def test_acceptance_probability_two_rods(self):
         # joint rejection acceptance on the circle: 1 - 2*sigma/L
@@ -254,8 +281,8 @@ class TestSampleChaoticState:
         stderr = np.sqrt(p_exact * (1 - p_exact) / trials)
         assert abs(acc - p_exact) < 3 * stderr
         # and the sampler itself must return valid states
-        s = sample_chaotic_state(2, sampler, 0.1, Inelasticity(0.1),
-                                 box=1.0, rng=rng, method="rejection")
+        s = sample_chaotic_state(2, Counting(sampler), 0.1, Inelasticity(0.1),
+                                 box=1.0, rng=rng)
         assert s.is_allowed()
 
     def test_direct_matches_rejection_gap_law(self):
@@ -267,9 +294,9 @@ class TestSampleChaoticState:
         gaps_d, gaps_r = [], []
         for _ in range(m):
             sd = sample_chaotic_state(n, sampler, sig, Inelasticity(0.0),
-                                      box=1.0, rng=rng, method="direct")
-            sr = sample_chaotic_state(n, sampler, sig, Inelasticity(0.0),
-                                      box=1.0, rng=rng, method="rejection")
+                                      box=1.0, rng=rng)
+            sr = sample_chaotic_state(n, Counting(sampler), sig,
+                                      Inelasticity(0.0), box=1.0, rng=rng)
             gaps_d.append(sd.min_separation())
             gaps_r.append(sr.min_separation())
         assert np.mean(gaps_d) == pytest.approx(np.mean(gaps_r), abs=0.01)
@@ -281,8 +308,8 @@ class TestSampleChaoticState:
         sampler = UniformMaxwellian(length=1.0, temperature=1.0)
         ps = []
         for _ in range(2000):
-            s = sample_chaotic_state(4, sampler, 0.08, Inelasticity(0.0),
-                                     box=1.0, rng=rng, method="rejection")
+            s = sample_chaotic_state(4, Counting(sampler), 0.08,
+                                     Inelasticity(0.0), box=1.0, rng=rng)
             ps.append(s.p[:, 0])
         ps = np.concatenate(ps)
         stderr = 1.0 / np.sqrt(ps.size)
@@ -300,18 +327,10 @@ class TestSampleChaoticState:
     def test_rejection_path_golden(self, seed, n, d, sigma, box, digest):
         # bitwise pin of the accepted state and of the generator's next draw,
         # so the number of rejected attempts is pinned too
-        class Counting:
-            def __init__(self, sampler):
-                self.sampler, self.d, self.calls = sampler, sampler.d, 0
-
-            def sample(self, n, rng):
-                self.calls += 1
-                return self.sampler.sample(n, rng)
-
         rng = np.random.default_rng(seed)
         sampler = Counting(UniformMaxwellian(d=d, length=1.0))
         s = sample_chaotic_state(n, sampler, sigma, Inelasticity(0.1), box,
-                                 rng, method="rejection")
+                                 rng)
         assert sampler.calls > 1
         h = hashlib.sha256()
         for a in (s.q, s.p, rng.random(4)):
@@ -328,7 +347,7 @@ class TestSampleChaoticState:
         # bitwise pin of the gap-insertion state and the generator's next draw
         rng = np.random.default_rng(seed)
         s = sample_chaotic_state(n, UniformMaxwellian(length=box), sigma,
-                                 Inelasticity(0.25), box, rng, method="direct")
+                                 Inelasticity(0.25), box, rng)
         h = hashlib.sha256()
         for a in (s.q, s.p, rng.random(4)):
             h.update(np.ascontiguousarray(a).tobytes())

@@ -204,9 +204,10 @@ class TestGeneratingIdentity:
         eps = Inelasticity(0.25)
         total = 0.0
         f = lambda qq, pp: float(np.exp(-np.sum(pp ** 2)) + np.sum(qq))
-        from granulab.cumulants import _apply_ops
-        for coeff, ops in generating_term_list(1, cluster_size=2):
-            qq, pp, w = _apply_ops(ops, q, p, 1.0, 0.1, eps, None, "state")
+        from granulab.cumulants import _apply_terms
+        for coeff, qq, pp, w in _apply_terms(
+                generating_term_list(1, cluster_size=2), q, p, 1.0, 0.1, eps,
+                None, "state"):
             total += coeff * w * f(qq, pp)
         assert abs(total) <= 1e-10
 

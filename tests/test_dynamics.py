@@ -25,10 +25,17 @@ def random_state_1d(rng, n, box, sigma, eps, temp=1.0):
         Inelasticity(eps), box=box, rng=rng)
 
 
+def evolve(s, dt, log=None, **options):
+    """The state after dt under ``Simulation(s, log=log, **options)``."""
+    sim = Simulation(s, log=log, **options)
+    sim.run(dt=dt)
+    return sim.state()
+
+
 def first_contact(s, engine="auto"):
     """Time of the first logged contact within t=1, or None."""
     log = TrajectoryLog()
-    advance(s, 1.0, log=log, engine=engine)
+    evolve(s, 1.0, log=log, engine=engine)
     return log.events[0].t if log.n_events else None
 
 
@@ -103,8 +110,8 @@ class TestAdvance:
     def test_allpairs_oracle_matches_adjacent_1d(self):
         rng = np.random.default_rng(20)
         s = random_state_1d(rng, 12, box=1.0, sigma=0.01, eps=0.2)
-        a = advance(s, 0.5, engine="adjacent")
-        b = advance(s, 0.5, engine="allpairs")
+        a = evolve(s, 0.5, engine="adjacent")
+        b = evolve(s, 0.5, engine="allpairs")
         np.testing.assert_allclose(a.q, b.q, atol=1e-9)
         np.testing.assert_allclose(a.p, b.p, atol=1e-9)
 
@@ -121,14 +128,14 @@ class TestAdvance:
     def test_allowed_configuration_preserved(self):
         rng = np.random.default_rng(22)
         s = random_state_1d(rng, 50, box=1.0, sigma=0.004, eps=0.25)
-        out = advance(s, 1.0, tc_threshold=1e-9)
+        out = evolve(s, 1.0, tc_threshold=1e-9)
         assert out.min_separation() >= s.sigma * (1 - 1e-9)
 
     def test_energy_ledger(self):
         rng = np.random.default_rng(23)
         s = random_state_1d(rng, 100, box=1.0, sigma=0.002, eps=0.25)
         log = TrajectoryLog()
-        out = advance(s, 2.0, log=log, tc_threshold=1e-9)
+        out = evolve(s, 2.0, log=log, tc_threshold=1e-9)
         e0, e1 = s.kinetic_energy(), out.kinetic_energy()
         assert log.n_events > 10
         assert abs(e0 - e1 + log.total_dissipation()) <= 1e-9 * e0
@@ -136,7 +143,7 @@ class TestAdvance:
     def test_momentum_exact(self):
         rng = np.random.default_rng(24)
         s = random_state_1d(rng, 200, box=1.0, sigma=0.001, eps=0.3)
-        out = advance(s, 2.0, tc_threshold=1e-9)
+        out = evolve(s, 2.0, tc_threshold=1e-9)
         drift = abs(out.total_momentum()[0] - s.total_momentum()[0])
         assert drift <= 1e-12 * max(1.0, np.abs(s.p).sum())
 
@@ -164,12 +171,12 @@ class TestAdvance:
         rng = np.random.default_rng(22)
         s = random_state_1d(rng, 50, box=1.0, sigma=0.004, eps=0.25)
         with pytest.raises(EventStormError):
-            advance(s, 1.0, storm_limit=2000)
+            evolve(s, 1.0, storm_limit=2000)
 
     def test_tc_regularization_avoids_storm(self):
         rng = np.random.default_rng(22)
         s = random_state_1d(rng, 50, box=1.0, sigma=0.004, eps=0.25)
-        out = advance(s, 1.0, storm_limit=2000, tc_threshold=1e-6)
+        out = evolve(s, 1.0, storm_limit=2000, tc_threshold=1e-6)
         assert np.all(np.isfinite(out.p))
         assert out.min_separation() >= s.sigma * (1 - 1e-9)
 
@@ -232,7 +239,7 @@ class TestEvolveObservable:
     def test_total_momentum_conserved(self):
         rng = np.random.default_rng(27)
         s = random_state_1d(rng, 20, box=1.0, sigma=0.01, eps=0.3)
-        final = advance(s, 1.5, tc_threshold=1e-9)
+        final = evolve(s, 1.5, tc_threshold=1e-9)
         assert float(final.p.sum()) == pytest.approx(float(s.p.sum()))
 
     def test_energy_strictly_dissipated(self):
@@ -270,8 +277,8 @@ class TestDeterminism:
         rng = np.random.default_rng(29)
         s = random_state_1d(rng, 64, box=1.0, sigma=0.003, eps=0.25)
         log1, log2 = TrajectoryLog(), TrajectoryLog()
-        a = advance(s, 1.0, log=log1, tc_threshold=1e-9)
-        b = advance(s, 1.0, log=log2, tc_threshold=1e-9)
+        a = evolve(s, 1.0, log=log1, tc_threshold=1e-9)
+        b = evolve(s, 1.0, log=log2, tc_threshold=1e-9)
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
         assert [e.t for e in log1.events] == [e.t for e in log2.events]
 
@@ -281,7 +288,7 @@ class TestTrajectoryLog:
         rng = np.random.default_rng(30)
         s = random_state_1d(rng, 20, box=1.0, sigma=0.01, eps=0.25)
         log = TrajectoryLog()
-        advance(s, 1.0, log=log, tc_threshold=1e-9)
+        evolve(s, 1.0, log=log, tc_threshold=1e-9)
         events = log.events
         assert len(events) == log.n_events == len(log.t) > 3
         assert events[1].t == log.t[1] and events[-1].dE == log.dE[-1]
