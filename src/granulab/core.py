@@ -281,8 +281,10 @@ def sample_chaotic_state(
     other input resamples whole configurations until one is allowed.
 
     Raises :class:`SamplingFailureError` when no allowed configuration
-    exists (n*sigma >= box for gap insertion, sigma >= box/2 with two or
-    more rods for rejection) or the rejection attempt budget runs out.
+    exists (n*sigma >= box for gap insertion; for rejection, sigma >= box/2
+    with two or more rods before any draw, and n*sigma >= box once the
+    first draw shows a 1D periodic input) or the rejection attempt budget
+    runs out.
     """
     if (isinstance(f1_sampler, UniformMaxwellian) and f1_sampler.d == 1
             and f1_sampler.length == box):
@@ -299,6 +301,9 @@ def sample_chaotic_state(
     for _ in range(_MAX_ATTEMPTS):
         q, p = f1_sampler.sample(n, rng)
         state = SystemState(q, p, sigma, eps, box)
+        if n >= 2 and box is not None and state.d == 1 and n * sigma >= box:
+            raise SamplingFailureError(
+                f"no allowed configuration: n*sigma = {n * sigma} >= L = {box}")
         if state.min_separation() >= sigma:
             return state
     raise SamplingFailureError(

@@ -337,13 +337,14 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
         raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
     q = _gap_positions(m, n, length, sigma, rng)
     p = rng.normal(0.0, np.sqrt(f1_sampler.temperature), size=(m, n))
+    q, p = q.T.copy(), p.T.copy()  # one contiguous row per particle
 
     def evolve(block):
         # b1 of each particle of the block when the block evolves in isolation
         cols = list(block)
         if len(cols) == 1:  # free flight
-            return [b1(q[:, cols[0]] + p[:, cols[0]] * t, p[:, cols[0]])]
-        qf, pf, _ = evolve_rods_ensemble(q[:, cols], p[:, cols], t, sigma, eps)
+            return [b1(q[cols[0]] + p[cols[0]] * t, p[cols[0]])]
+        qf, pf, _ = evolve_rods_ensemble(q[cols].T, p[cols].T, t, sigma, eps)
         return [b1(qf[:, k], pf[:, k]) for k in range(len(cols))]
 
     # every nonempty subset, in bitmask order, with its partition terms

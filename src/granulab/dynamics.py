@@ -410,44 +410,77 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
 
     ``q``/``p`` have shape (M, N) with positions sorted ascending per row and
     pairwise gaps >= sigma.  Rods never exchange order, so only adjacent
-    pairs collide; each round resolves at most one collision per row.
-    Returns (q_final, p_final, collisions_per_row).
+    pairs collide; each round resolves at most one collision per row: the
+    earliest contact, the first gap on ties.
+
+    Each rod's positions and momenta are held in one contiguous array of M
+    entries.  The first round runs in place on every row; later rounds run
+    on compact arrays of the rows that collided in the round before, and a
+    row is written back once, when it finishes.
+    Returns (q_final, p_final, collisions_per_row); the two (M, N) arrays
+    are column views of the per-rod arrays.
     """
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
-    m, n = q.shape
+    qo = np.array(np.asarray(q, dtype=float).T, order="C")  # one row per rod
+    po = np.array(np.asarray(p, dtype=float).T, order="C")
+    n, m = qo.shape
     ncol = np.zeros(m, dtype=np.int64)
-    remaining = np.full(m, float(t))
-    active = np.ones(m, dtype=bool)
     if n < 2 or t == 0.0:
-        return q + p * t, p, ncol
+        return (qo + po * t).T, po.T, ncol
     max_rounds = 100 * n + 1000
     fac = 1.0 - eps.epsilon
+    # the rows of the current round: every row (as views) in the first one
+    qs, ps, nc = list(qo), list(po), ncol
+    remaining = np.full(m, float(t))
+    rows = None
     for _ in range(max_rounds):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            return q, p, ncol
-        gaps = q[idx, 1:] - q[idx, :-1] - sigma
-        rel = p[idx, :-1] - p[idx, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tcol = np.where(rel > _TINY, np.maximum(gaps, 0.0) / rel, np.inf)
-        k = np.argmin(tcol, axis=1)
-        tmin = tcol[np.arange(idx.size), k]
-        collide_rows = tmin <= remaining[idx]
-        dt_step = np.where(collide_rows, tmin, remaining[idx])
-        q[idx] += p[idx] * dt_step[:, None]
-        remaining[idx] -= dt_step
-        hit = idx[collide_rows]
-        kh = k[collide_rows]
-        if hit.size:
-            pl = p[hit, kh]
-            pr = p[hit, kh + 1]
+        if remaining.size == 0:
+            return qo.T, po.T, ncol
+        tmin, k = _first_contact(qs, ps, sigma)
+        hit = tmin <= remaining
+        dt_step = np.where(hit, tmin, remaining)
+        for qj, pj in zip(qs, ps):
+            qj += pj * dt_step
+        remaining -= dt_step
+        k[~hit] = -1
+        for j in range(n - 1):
+            r = np.flatnonzero(k == j)
+            pl, pr = ps[j][r], ps[j + 1][r]
             kick = fac * (pl - pr)
-            p[hit, kh] = pl - kick
-            p[hit, kh + 1] = pr + kick
-            ncol[hit] += 1
-        active[idx[~collide_rows]] = False
+            ps[j][r] = pl - kick
+            ps[j + 1][r] = pr + kick
+        nc += hit
+        if rows is None:
+            rows = np.flatnonzero(hit)
+        else:
+            done = ~hit
+            fin = rows[done]
+            for j in range(n):
+                qo[j, fin] = qs[j][done]
+                po[j, fin] = ps[j][done]
+            ncol[fin] = nc[done]
+            rows = rows[hit]
+        qs = [a[hit] for a in qs]
+        ps = [a[hit] for a in ps]
+        nc, remaining = nc[hit], remaining[hit]
     raise EventStormError(
         f"evolve_rods_ensemble exceeded {max_rounds} rounds; "
         "likely inelastic collapse in some row"
     )
+
+
+def _first_contact(qs, ps, sigma):
+    """Earliest contact time of each row over its N-1 adjacent gaps and the
+    first gap reaching it (inf and 0 when no pair approaches)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(len(qs) - 1):
+            rel = ps[j] - ps[j + 1]
+            tj = np.where(rel > _TINY,
+                          np.maximum(qs[j + 1] - qs[j] - sigma, 0.0) / rel,
+                          np.inf)
+            if j == 0:
+                tmin, k = tj, np.zeros(tj.size, dtype=np.intp)
+            else:
+                better = tj < tmin
+                tmin = np.where(better, tj, tmin)
+                k[better] = j
+    return tmin, k

@@ -109,6 +109,11 @@ class DsmcState:
     eps: Inelasticity
     weight: float
     time: float = 0.0
+    # (q, length, n_cells, order, counts, starts) of the dsmc_step that made
+    # this state; suggest_dt reuses the order while the first three still
+    # match, and replace() and copy() drop it
+    _by_cell: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).ravel()
@@ -159,25 +164,40 @@ def _cell_index(q, length: float, n_cells: int) -> np.ndarray:
                     else np.intp)
 
 
-def _cell_spans(cells: np.ndarray, p: np.ndarray, n_cells: int):
-    """Per-cell sample counts and momentum spans max p - min p; the span
-    is 0 in cells with fewer than two samples."""
+def _by_cell(q, length: float, n_cells: int):
+    """Stable by-cell order of the samples, the sample count of each cell
+    and the position in that order where each cell starts."""
+    cells = _cell_index(q, length, n_cells)
     counts = np.bincount(cells, minlength=n_cells)
-    hi = np.full(n_cells, -np.inf)
-    lo = np.full(n_cells, np.inf)
-    np.maximum.at(hi, cells, p)
-    np.minimum.at(lo, cells, p)
-    return counts, np.where(counts > 1, hi - lo, 0.0)
+    return (np.argsort(cells, kind="stable"), counts,
+            np.cumsum(counts) - counts)
+
+
+def _spans(p, order, counts, starts):
+    """Momentum span max p - min p of each cell from its run of the by-cell
+    order; the span is 0 in cells with fewer than two samples."""
+    filled = np.flatnonzero(counts)
+    p_sorted = p[order]
+    span = np.zeros(counts.size)
+    span[filled] = (np.maximum.reduceat(p_sorted, starts[filled])
+                    - np.minimum.reduceat(p_sorted, starts[filled]))
+    span[counts < 2] = 0.0
+    return span
 
 
 def dsmc_step(state: DsmcState, dt: float,
               rng: np.random.Generator) -> DsmcState:
     """One streaming + collision step of the 1D DSMC scheme.
 
+    Streaming wraps only the samples that leave [0, length) (or land on
+    -0.0) with ``np.mod``, which is the identity on every other position,
+    so the positions equal ``np.mod(q + p*dt, length)`` bitwise.
+
     Candidate pairs per cell follow the majorant rate with
     v_max = max p - min p in the cell; acceptance is |dp| / v_max and
     accepted pairs get post-collision momenta from the inelastic collision
-    rule.
+    rule.  The samples are sorted by cell once (a stable sort), and the
+    spans are reduced over each cell's run of that order.
 
     The dt guard is checked for every cell before any random number is
     drawn: if a per-particle collision probability reaches 0.2, the step
@@ -191,18 +211,26 @@ def dsmc_step(state: DsmcState, dt: float,
     samples, so the pairs of one round are disjoint and each one sees the
     momenta a pair-by-pair loop in draw order would see.  The results are
     therefore bitwise identical to that loop.
+
+    The returned state keeps the by-cell order of its positions for
+    :func:`suggest_dt`, and its ``q`` is read-only so that order cannot go
+    stale; ``copy()`` gives writable arrays without it.
     """
     if not 0.0 <= dt < np.inf:
         raise ConfigError("dt must be finite and nonnegative")
     if dt == 0.0:
         return replace(state.copy(), time=state.time + dt)
-    out = replace(state, q=np.mod(state.q + state.p * dt, state.length),
-                  p=state.p.copy(), time=state.time + dt)
+    q = state.q + state.p * dt
+    wrap = np.flatnonzero(np.signbit(q) | (q >= state.length))
+    q[wrap] = np.mod(q[wrap], state.length)
+    q.flags.writeable = False
+    out = replace(state, q=q, p=state.p.copy(), time=state.time + dt)
     if state.n_samples < 2:
         return out
 
-    cells = _cell_index(out.q, out.length, out.n_cells)
-    counts, vmax = _cell_spans(cells, out.p, out.n_cells)
+    order, counts, starts = _by_cell(out.q, out.length, out.n_cells)
+    out._by_cell = (out.q, out.length, out.n_cells, order, counts, starts)
+    vmax = _spans(out.p, order, counts, starts)
     rate = out.weight / (out.length / out.n_cells) * dt
     per_particle = rate * (counts - 1) * vmax
     bad = np.flatnonzero(per_particle >= 0.2)
@@ -230,10 +258,8 @@ def dsmc_step(state: DsmcState, dt: float,
     ii = np.concatenate(ii)
     jj = np.concatenate(jj)
     jj += jj >= ii
-    # local indices -> positions in the stable by-cell order -> sample ids;
-    # the order itself is not kept, so the rounds run without it in memory
-    start = np.tile((np.cumsum(counts) - counts)[pair_cell], 2)
-    ids = np.argsort(cells, kind="stable")[np.concatenate([ii, jj]) + start]
+    # local indices -> positions in the by-cell order -> sample ids
+    ids = order[np.concatenate([ii, jj]) + np.tile(starts[pair_cell], 2)]
     _collide_in_rounds(out.p, ids[:ii.size], ids[ii.size:],
                        np.concatenate(u), vmax[pair_cell],
                        1.0 - out.eps.epsilon)
@@ -274,11 +300,19 @@ def suggest_dt(state: DsmcState, safety: float = 0.5) -> float:
 
     The probabilities are measured on the current (pre-streaming) cells;
     streaming within the step can raise them, which
-    :func:`solve_limit_equation` absorbs by halving dt.
+    :func:`solve_limit_equation` absorbs by halving dt.  On a state made by
+    :func:`dsmc_step` the cells come from that step's by-cell order and
+    only the spans are recomputed, from the post-collision momenta; on any
+    other state the same order is built here.
     """
     cell_len = state.length / state.n_cells
-    cells = _cell_index(state.q, state.length, state.n_cells)
-    counts, vmax = _cell_spans(cells, state.p, state.n_cells)
+    c = state._by_cell
+    if (c is not None and c[0] is state.q
+            and c[1:3] == (state.length, state.n_cells)):
+        order, counts, starts = c[3:]
+    else:  # not made by a step, or its positions were replaced since
+        order, counts, starts = _by_cell(state.q, state.length, state.n_cells)
+    vmax = _spans(state.p, order, counts, starts)
     worst = float(np.max(state.weight / cell_len * (counts - 1) * vmax))
     if worst <= 0.0:
         return np.inf

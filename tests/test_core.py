@@ -259,14 +259,24 @@ class TestSampleChaoticState:
                                      rng=rng)
 
     def test_rejection_attempt_budget(self, monkeypatch):
-        # three rods of diameter 0.45 cannot fit on a unit circle, yet
-        # sigma < box/2, so only the attempt budget ends the loop
+        # thirty spheres of diameter 0.45 fill 1.43 times the volume of a
+        # unit 3-torus, yet sigma < box/2, so only the attempt budget ends
+        # the loop
         monkeypatch.setattr(core, "_MAX_ATTEMPTS", 50)
-        sampler = Counting(UniformMaxwellian(length=1.0))
+        sampler = Counting(UniformMaxwellian(d=3, length=1.0))
         with pytest.raises(SamplingFailureError, match="50 attempts"):
-            sample_chaotic_state(3, sampler, 0.45, Inelasticity(0.0),
+            sample_chaotic_state(30, sampler, 0.45, Inelasticity(0.0),
                                  box=1.0, rng=np.random.default_rng(17))
         assert sampler.calls == 50
+
+    def test_rejection_refuses_overfull_ring_after_one_draw(self):
+        # three rods of diameter 0.45 cannot fit on a unit circle although
+        # sigma < box/2; the first draw shows the input is 1D
+        sampler = Counting(UniformMaxwellian(length=1.0))
+        with pytest.raises(SamplingFailureError, match="n\\*sigma"):
+            sample_chaotic_state(3, sampler, 0.45, Inelasticity(0.0),
+                                 box=1.0, rng=np.random.default_rng(17))
+        assert sampler.calls <= 1
 
     def test_acceptance_probability_two_rods(self):
         # joint rejection acceptance on the circle: 1 - 2*sigma/L

@@ -3,7 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from granulab.core import Inelasticity, SystemState, UniformMaxwellian, sample_chaotic_state
+from granulab.core import (
+    Inelasticity,
+    SystemState,
+    UniformMaxwellian,
+    _gap_positions,
+    sample_chaotic_state,
+)
 from granulab.dynamics import (
     Simulation,
     TrajectoryLog,
@@ -270,6 +276,94 @@ class TestEvolveRodsEnsemble:
         qf, pf, ncol = evolve_rods_ensemble(q, p, 1.0, 0.1, Inelasticity(0.2))
         np.testing.assert_allclose(qf, q + p)
         assert ncol[0] == 0
+
+
+EVOLVER_DIGESTS = [
+    (2, 0.0, 0.5,
+     "7ed827cbe45b579356bf8fcacdc6b57dd78f13073f99ff166b1b999a5cd90c77"),
+    (2, 0.0, 2.0,
+     "2410995d3af85467842e587bfbbabaf0b719292359cd84a604a527ca4b8c8585"),
+    (2, 0.1, 0.5,
+     "172d60fc2eaec4806fe708f0abb1cb21bf4ee10002fd52a478e8224366779815"),
+    (2, 0.1, 2.0,
+     "c958d7f4b44ef8cb07643320eafffd166574ae687bed26d8cae37450d7dff59c"),
+    (2, 0.25, 0.5,
+     "13f53c5ac34699ad068243fb9154334646829cedf11017bc7ac89e1e4354749e"),
+    (2, 0.25, 2.0,
+     "4f0346cb3e07d14148a4563f2e767701402f3ae198b15a99135c1a741f230ace"),
+    (3, 0.0, 0.5,
+     "dcdfea5d42f8d96a19fceb3c7cf7fd5386f8e54ab3521f2c25ff760b45f89635"),
+    (3, 0.0, 2.0,
+     "deae1fda427b958f5ecb3e0ba69a098ef68a50c95216dcfe8ea91bf8bc898750"),
+    (3, 0.1, 0.5,
+     "5ecfe4c114bfe32a6a15827dca6ad524712b7962a42acdd6020652cf3a3c1f1c"),
+    (3, 0.1, 2.0,
+     "9d156b19ff44ef6fa3e3ba2e26250fca7996029417527a64d6b5862d9ace256d"),
+    (3, 0.25, 0.5,
+     "8103fa38c329bb9e81f3e5a79c02373dc0e2e8477d8ad7463e4ed5713e0d5c5d"),
+    (3, 0.25, 2.0,
+     "5f2dc432889e123357a23473bb48d20d38905f5ed658b6821d2f1cb27a5894f4"),
+    (5, 0.0, 0.5,
+     "cef111d35d27bd153287e17dd4904c923dd3f623ade4fcff3f00403e536ab2da"),
+    (5, 0.0, 2.0,
+     "ee2de957bce4b1eba16e80d6d95778a8f7a4c441d94c52edcf098a839edf7559"),
+    (5, 0.1, 0.5,
+     "e0eabebae03c3f3888d828df0d9ecedf5974f6fba8d4868e1d550bd34f051072"),
+    (5, 0.1, 2.0,
+     "f446f48d6d9443aa5294a277fe789e79452b5ebc73e58895dad29d4062eb22e9"),
+    (5, 0.25, 0.5,
+     "7cc9078545fb54fda1667756216b76298ac99ba5485f7ac95ddc995410274e7f"),
+    (5, 0.25, 2.0,
+     "4b986ccc238b7a57a4c4d3ad91f7cc000721024bcf8321c2297018561dd93bd8"),
+]
+
+
+class TestEvolveRodsEnsembleGolden:
+    """Bitwise pins of ``evolve_rods_ensemble``: sha256 of (q, p, ncol) on
+    10**4 rows drawn by gap insertion, recorded from the row-major form that
+    gathered the active rows of every round.  At n=3 and eps>0 a row takes
+    up to five rounds, at n=5 up to seventeen."""
+
+    @staticmethod
+    def inputs(n):
+        rng = np.random.default_rng(60 + n)
+        q = _gap_positions(10_000, n, 1.0, 0.02, rng)
+        return q, rng.normal(size=q.shape)
+
+    @pytest.mark.parametrize("n, eps, t, digest", EVOLVER_DIGESTS,
+                             ids=[f"n{n}-eps{e}-t{t}"
+                                  for n, e, t, _ in EVOLVER_DIGESTS])
+    def test_digests(self, n, eps, t, digest):
+        q, p = self.inputs(n)
+        out = evolve_rods_ensemble(q, p, t, 0.02, Inelasticity(eps))
+        assert _digest(*out) == digest
+
+    def test_non_contiguous_view(self):
+        # every second row and every second rod of six
+        q, p = self.inputs(6)
+        out = evolve_rods_ensemble(q[::2, ::2], p[::2, ::2], 2.0, 0.02,
+                                   Inelasticity(0.25))
+        assert _digest(*out) == (
+            "301bdd3cd2d668cc732073bff7df1e53cec548d4a900cd4449b4cb5508ce9748")
+
+    def test_tie_takes_first_gap(self):
+        # both gaps close at t=0.9; the left pair collides first, then the
+        # right, then the left again (every momentum is a binary fraction,
+        # so the values are exact; the mirror order ends mirrored)
+        q = np.array([[0.0, 1.0, 2.0]])
+        p = np.array([[1.0, 0.0, -1.0]])
+        _, pf, ncol = evolve_rods_ensemble(q, p, 1.0, 0.1, Inelasticity(0.25))
+        assert pf[0].tolist() == [-0.359375, 0.046875, 0.3125]
+        assert ncol[0] == 3
+
+    def test_round_guard(self):
+        # a strongly inelastic row of six whose collisions never run out
+        q = 0.1 * np.arange(6.0)
+        p = np.linspace(1.0, -1.0, 6)
+        p[3] += 0.3
+        with pytest.raises(EventStormError, match="1600 rounds"):
+            evolve_rods_ensemble(q[None], p[None], 5.0, 0.01,
+                                 Inelasticity(0.45))
 
 
 class TestDeterminism:

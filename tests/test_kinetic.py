@@ -250,6 +250,57 @@ class TestDsmcGolden:
         assert _digest(np.array(dts), rng.random(4)) == dt_digest
 
 
+class TestDsmcStepState:
+    def test_streaming_matches_mod(self):
+        # -0.0 (np.mod makes it +0.0), a tiny negative that np.mod maps to
+        # exactly L, a landing on exactly L, flights beyond 2L either way,
+        # and positions that stay inside
+        q = np.array([-0.0, 0.0, 0.25, 0.1, 0.9, 0.3, 0.6, 0.999])
+        p = np.array([-0.0, -1e-20, 0.75, 2.7, -3.3, 0.1, -0.2, 0.0])
+        state = DsmcState(q, p, 1.0, 4, Inelasticity(0.25), weight=1e-9)
+        out = dsmc_step(state, 1.0, np.random.default_rng(0))
+        expect = np.mod(q + p * 1.0, 1.0)
+        assert expect[1] == 1.0 and not np.signbit(expect[0])
+        assert out.q.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("seed, n, cells, eps, steps, safety", [
+        (41, 20000, 64, 0.25, 20, 0.5), (42, 20000, 8, 0.25, 20, 0.5),
+        (43, 20000, 1, 0.25, 10, 0.5), (44, 20000, 16, 0.0, 20, 0.5),
+        (45, 5000, 3, 0.25, 20, 0.5), (46, 300, 64, 0.25, 20, 0.5),
+        (47, 2000, 1, 0.1, 20, 0.9)],
+        ids=["cells64", "cells8", "one_cell", "elastic", "sparse",
+             "few_per_cell", "near_guard"])
+    def test_suggest_dt_reuses_step_cells(self, seed, n, cells, eps, steps,
+                                          safety):
+        # the by-cell order a step leaves on its state gives the dt a copy
+        # or a fresh state gives, on the golden DSMC configurations
+        rng = np.random.default_rng(seed)
+        sampler = UniformMaxwellian(length=1.0, temperature=1.0)
+        state = dsmc_init(sampler, n, cells, Inelasticity(eps), rng)
+        for _ in range(steps):
+            state = dsmc_step(state, suggest_dt(state, safety=safety), rng)
+            fresh = DsmcState(state.q.copy(), state.p.copy(), state.length,
+                              state.n_cells, state.eps, state.weight)
+            dt = suggest_dt(state, safety=safety)
+            assert dt == suggest_dt(state.copy(), safety=safety)
+            assert dt == suggest_dt(fresh, safety=safety)
+
+    def test_step_positions_cannot_go_stale(self):
+        rng = np.random.default_rng(48)
+        state = dsmc_init(UniformMaxwellian(length=1.0), 2000, 8,
+                          Inelasticity(0.25), rng)
+        out = dsmc_step(state, suggest_dt(state), rng)
+        with pytest.raises(ValueError):
+            out.q[0] = 0.5
+        copied = out.copy()
+        copied.q[0] = 0.5  # a copy is writable
+        # positions replaced wholesale: the step's cell order no longer applies
+        out.q = np.mod(out.q + 0.37, 1.0)
+        fresh = DsmcState(out.q.copy(), out.p.copy(), out.length,
+                          out.n_cells, out.eps, out.weight)
+        assert suggest_dt(out) == suggest_dt(fresh)
+
+
 class TestSolveLimitEquation:
     def test_uniform_stays_uniform(self):
         sampler = UniformMaxwellian(length=1.0, temperature=1.0)
