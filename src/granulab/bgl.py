@@ -61,6 +61,12 @@ def _ordered_pairs(n: int, max_pairs: int, rng: np.random.Generator):
     return ii, np.where(jj >= ii, jj + 1, jj)
 
 
+def _pair_histogram(a, b, k: int):
+    """(k, k) counts of the cell pairs (a[m], b[m]); integer counts, so
+    adding them to a float histogram is exact."""
+    return np.bincount(a * k + b, minlength=k * k).reshape(k, k)
+
+
 def _chaos_norm(f1_counts, pair_counts) -> float:
     """sum |pi2 - pi1 (x) pi1| of the pair and single-particle counts."""
     pi1 = (f1_counts / f1_counts.sum()).ravel()
@@ -94,13 +100,12 @@ def empirical_marginals(snapshots, q_edges, p_edges,
     for r, s in enumerate(snapshots):
         qi = _digitize(s.q[:, 0], q_edges)
         pi = _digitize(s.p[:, 0], p_edges)
-        h = np.zeros((nq, npb))
-        np.add.at(h, (qi, pi), 1.0)
+        cell = qi * npb + pi
+        h = np.bincount(cell, minlength=nq * npb).reshape(nq, npb)
         per_replica[r] = h / s.n
         f1_counts += h
-        cell = qi * npb + pi
         ii, jj = _ordered_pairs(s.n, max_pairs_per_replica, rng)
-        np.add.at(pair_counts, (cell[ii], cell[jj]), 1.0)
+        pair_counts += _pair_histogram(cell[ii], cell[jj], nq * npb)
         n_pairs += len(ii)
 
     f1 = PhaseHistogram(q_edges, p_edges, f1_counts)
@@ -121,9 +126,9 @@ def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
         f1_counts = np.zeros(k)
         for _ in range(n_replicas):
             cell = rng.choice(k, size=n_particles, p=probs)
-            np.add.at(f1_counts, cell, 1.0)
+            f1_counts += np.bincount(cell, minlength=k)
             ii, jj = _ordered_pairs(n_particles, pairs_per_replica, rng)
-            np.add.at(pair_counts, (cell[ii], cell[jj]), 1.0)
+            pair_counts += _pair_histogram(cell[ii], cell[jj], k)
         floors.append(_chaos_norm(f1_counts, pair_counts))
     return float(np.mean(floors))
 

@@ -160,7 +160,8 @@ def run_simulate(cfg, out: Path):
                for ev in log.events])
     final = snaps[-1]
     write_json(out / "run.json", _report(
-        cfg, n_events=log.n_events,
+        cfg, n_events=log.n_events, n_stale_pops=sim.n_stale_pops,
+        n_tc_elastic=sim.n_tc_elastic,
         total_dissipation=log.total_dissipation(),
         final_energy=final.kinetic_energy(),
         final_momentum=list(map(float, final.total_momentum()))))

@@ -5,10 +5,12 @@ counters, momentum updates through the single collision algebra in
 :mod:`granulab.core`.  Two engines share the event loop:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
-  only neighbours can collide), with lazy per-particle times, run on Python
-  floats and lists (every event is scalar work, which numpy scalars and
-  1-element arrays only slow down) -- this is the fast path used for large
-  runs;
+  only neighbours can collide), with lazy per-particle times -- the fast
+  path used for large runs.  It builds its initial heap in one pass over the
+  adjacent pairs and one heapify, and runs one fused event loop on Python
+  floats and lists (every event is scalar work, which numpy scalars,
+  1-element arrays and per-step calls only slow down) that collides, counts,
+  logs and re-predicts the three neighbour pairs inline;
 * an all-pairs engine for any dimension, retained as the correctness oracle
   and used for 3D few-body work.
 
@@ -110,6 +112,10 @@ class Simulation:
     it is off by default.  ``storm_limit`` aborts the run when any particle
     exceeds that many events within one unit of time.  ``engine="allpairs"``
     runs the all-pairs engine in 1D, as the oracle of the adjacency engine.
+
+    ``n_events`` counts the collisions applied, ``n_stale_pops`` the heap
+    entries discarded because a participant collided after they were
+    predicted, and ``n_tc_elastic`` the collisions the TC rule made elastic.
     """
 
     def __init__(self, state: SystemState, log: TrajectoryLog | None = None,
@@ -138,6 +144,8 @@ class Simulation:
         self._template = state
         self.t = state.time
         self.n_events = 0
+        self.n_stale_pops = 0  # heap entries popped after their pair changed
+        self.n_tc_elastic = 0  # collisions the TC rule made elastic
 
         p = -state.p if self.rule == "inverse" else state.p
         # lazy per-particle positions: x[i] is the position at local time tl[i]
@@ -156,9 +164,8 @@ class Simulation:
             self.order = array("q", order.tolist())  # sorted slot -> label
             self.x = state.q[order, 0].tolist()      # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
-            self._npairs = self.n if self.box is not None else self.n - 1
-            for k in range(max(self._npairs, 0)):
-                self._push_adjacent(k)
+            self.heap = _initial_adjacent_heap(self.x, self.v, self.t,
+                                               self.sigma, self.box)
         elif self.engine == "allpairs":
             self.x = state.q.copy()
             self.v = p.copy()
@@ -169,26 +176,6 @@ class Simulation:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     # -- prediction -------------------------------------------------------
-
-    def _push_adjacent(self, k: int):
-        i = k
-        j = (k + 1) % self.n
-        if j == 0 and self.box is None:
-            return
-        x, v, tl = self.x, self.v, self.tl
-        rel = v[i] - v[j]
-        if rel <= _TINY:
-            return
-        off = self.box if j == 0 else 0.0
-        ti, tj = tl[i], tl[j]
-        # the conditionals are builtin max(ti, tj) and max(gap, 0.0), spelled
-        # out because a call costs more than the arithmetic
-        tau = tj if tj > ti else ti
-        xi = x[i] + v[i] * (tau - ti)
-        xj = x[j] + off + v[j] * (tau - tj)
-        gap = xj - xi - self.sigma
-        t_ev = tau + (0.0 if 0.0 > gap else gap) / rel
-        heapq.heappush(self.heap, (t_ev, i, j, self.cnt[i], self.cnt[j]))
 
     def _push_pair(self, i: int, j: int):
         tau = max(self.tl[i], self.tl[j])
@@ -221,11 +208,6 @@ class Simulation:
             heapq.heappush(self.heap, (tau + best, i, j,
                                        self.cnt[i], self.cnt[j]))
 
-    def _repredict_adjacent(self, i, j):
-        for k in {(i - 1) % self.n, i, j}:
-            if k < self._npairs:
-                self._push_adjacent(k)
-
     def _repredict_pairs(self, i, j):
         for a in range(self.n):
             if a != i:
@@ -234,23 +216,6 @@ class Simulation:
                 self._push_pair(*sorted((a, j)))
 
     # -- event processing -------------------------------------------------
-
-    def _collide_adjacent(self, t_ev, i, j):
-        x, v, tl = self.x, self.v, self.tl
-        x[i] = x[i] + v[i] * (t_ev - tl[i])
-        x[j] = x[j] + v[j] * (t_ev - tl[j])
-        tl[i] = tl[j] = t_ev
-        vi, vj = v[i], v[j]
-        g_n = vi - vj
-        if g_n <= 0.0:
-            return False  # grazing or stale geometry: no collision
-        v[i], v[j], dE = core.collide_rods(
-            vi, vj, self._epsilon(t_ev, i, j), self.rule == "inverse")
-        self._count(t_ev, i, j)
-        if self.log is not None:
-            self.log.append(t_ev, self.order[i], self.order[j], _ETA_1D,
-                            g_n, dE)
-        return True
 
     def _collide_pair(self, t_ev, i, j):
         # advance the two participants to the event time
@@ -292,6 +257,7 @@ class Simulation:
         elastic = tc is not None and (t_ev - last[i] < tc
                                       or t_ev - last[j] < tc)
         last[i] = last[j] = t_ev
+        self.n_tc_elastic += elastic
         return 0.0 if elastic else self.eps.epsilon
 
     def _count(self, t_ev, i, j):
@@ -306,11 +272,13 @@ class Simulation:
                 storm_cnt[k] = 0
             storm_cnt[k] += 1
             if storm_cnt[k] > self.storm_limit:
-                raise EventStormError(
-                    f"particle {k}: more than {self.storm_limit:g} events "
-                    f"within unit time at t={t_ev:.6g}; likely inelastic "
-                    "collapse (consider tc_threshold)"
-                )
+                raise self._storm_error(k, t_ev)
+
+    def _storm_error(self, k, t_ev) -> EventStormError:
+        return EventStormError(
+            f"particle {k}: more than {self.storm_limit:g} events within "
+            f"unit time at t={t_ev:.6g}; likely inelastic collapse "
+            "(consider tc_threshold)")
 
     def run(self, dt: float | None = None, max_events: int | None = None):
         """Process events until time t+dt (and/or an event budget) is reached.
@@ -328,9 +296,153 @@ class Simulation:
             raise ValueError("dt must be nonnegative")
         budget = math.inf if max_events is None else max_events
         if self.engine == "adjacent":
-            collide, repredict = self._collide_adjacent, self._repredict_adjacent
+            processed, t_last, stopped = self._run_adjacent(t_end, budget)
         else:
-            collide, repredict = self._collide_pair, self._repredict_pairs
+            processed, t_last, stopped = self._run_pairs(t_end, budget)
+        if stopped or t_end == math.inf:
+            if t_last is not None:
+                self.t = max(self.t, t_last)
+        else:
+            self.t = t_end
+        return processed
+
+    def _run_adjacent(self, t_end, budget):
+        """The 1D event loop: returns (collisions, time of the last event
+        popped and applied, whether the budget stopped it).
+
+        Each event's free flight, TC rule, collision, counters, storm guard,
+        log row and the re-prediction of its three neighbour pairs run
+        inline on local names: a call per step costs more than the step's
+        arithmetic.  The prediction is that of the initial heap, with the
+        same float operations in the same order.
+        """
+        heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
+        last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
+                                     self._storm_cnt)
+        n, box, sigma, log, order = (self.n, self.box, self.sigma, self.log,
+                                     self.order)
+        eps, tc, limit = self.eps.epsilon, self.tc_threshold, self.storm_limit
+        inverse = self.rule == "inverse"
+        pop, push = heapq.heappop, heapq.heappush
+        collide_rods = core.collide_rods
+        isfinite, tiny = math.isfinite, _TINY
+        if log is not None:
+            log_t, log_i, log_j, log_eta, log_g, log_de = (
+                log.t.append, log.i.append, log.j.append, log.eta.append,
+                log.g_n.append, log.dE.append)
+        processed = stale = tc_elastic = 0
+        t_last = None
+        stopped = False
+        try:
+            while heap:
+                t_ev, i, j, ci, cj = heap[0]
+                if t_ev > t_end:
+                    break
+                if cnt[i] != ci or cnt[j] != cj:
+                    pop(heap)
+                    stale += 1
+                    continue  # stale prediction
+                if processed >= budget:
+                    stopped = True
+                    break
+                pop(heap)
+                t_last = t_ev
+                x[i] = x[i] + v[i] * (t_ev - tl[i])
+                x[j] = x[j] + v[j] * (t_ev - tl[j])
+                tl[i] = tl[j] = t_ev
+                vi, vj = v[i], v[j]
+                g_n = vi - vj
+                if g_n <= 0.0:
+                    continue  # grazing or stale geometry: no collision
+                if tc is not None and (t_ev - last[i] < tc
+                                       or t_ev - last[j] < tc):
+                    e = 0.0
+                    tc_elastic += 1
+                else:
+                    e = eps
+                last[i] = last[j] = t_ev
+                vi, vj, dE = collide_rods(vi, vj, e, inverse)
+                if inverse and not isfinite(dE):
+                    raise EventStormError(
+                        f"particles {order[i]} and {order[j]}: momenta or "
+                        f"kinetic energy overflow at t={t_ev:.6g}; the inverse "
+                        "flow multiplies the normal relative speed by "
+                        f"1/(1-2*eps) = {1.0 / (1.0 - 2.0 * eps):g} at every "
+                        "contact")
+                v[i] = vi
+                v[j] = vj
+                cnt[i] += 1
+                cnt[j] += 1
+                processed += 1
+                if t_ev - storm_t0[i] >= 1.0:
+                    storm_t0[i] = t_ev
+                    storm_cnt[i] = 0
+                storm_cnt[i] += 1
+                if storm_cnt[i] > limit:
+                    raise self._storm_error(i, t_ev)
+                if t_ev - storm_t0[j] >= 1.0:
+                    storm_t0[j] = t_ev
+                    storm_cnt[j] = 0
+                storm_cnt[j] += 1
+                if storm_cnt[j] > limit:
+                    raise self._storm_error(j, t_ev)
+                if log is not None:
+                    log_t(t_ev)
+                    log_i(order[i])
+                    log_j(order[j])
+                    log_eta(_ETA_1D)
+                    log_g(g_n)
+                    log_de(dE)
+                # re-predict (i, j), (j, right) and (left, i); on a ring of
+                # two the left pair is the right one and is pushed once.
+                # (i, j): both local times are t_ev, so tau - t is t_ev - t_ev
+                rel = vi - vj
+                if rel > tiny:
+                    off = box if j == 0 else 0.0
+                    gap = ((x[j] + off + vj * (t_ev - t_ev))
+                           - (x[i] + vi * (t_ev - t_ev)) - sigma)
+                    push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
+                                i, j, cnt[i], cnt[j]))
+                b = j + 1
+                if b < n:
+                    off = 0.0
+                elif box is not None:
+                    b, off = 0, box
+                else:
+                    b = -1
+                if b >= 0:
+                    rel = vj - v[b]
+                    if rel > tiny:
+                        tb = tl[b]
+                        tau = tb if tb > t_ev else t_ev
+                        gap = ((x[b] + off + v[b] * (tau - tb))
+                               - (x[j] + vj * (tau - t_ev)) - sigma)
+                        push(heap, (tau + (0.0 if 0.0 > gap else gap) / rel,
+                                    j, b, cnt[j], cnt[b]))
+                if i:
+                    a, off = i - 1, 0.0
+                elif box is not None:
+                    a, off = n - 1, box
+                else:
+                    a = -1
+                if a >= 0 and a != j:
+                    rel = v[a] - vi
+                    if rel > tiny:
+                        ta = tl[a]
+                        tau = t_ev if t_ev > ta else ta
+                        gap = ((x[i] + off + vi * (tau - t_ev))
+                               - (x[a] + v[a] * (tau - ta)) - sigma)
+                        push(heap, (tau + (0.0 if 0.0 > gap else gap) / rel,
+                                    a, i, cnt[a], cnt[i]))
+        finally:
+            self.n_events += processed
+            self.n_stale_pops += stale
+            self.n_tc_elastic += tc_elastic
+        return processed, t_last, stopped
+
+    def _run_pairs(self, t_end, budget):
+        """The all-pairs event loop; returns what :meth:`_run_adjacent`
+        does."""
         heap, cnt = self.heap, self.cnt
         processed = 0
         t_last = None  # time of the last event popped and applied
@@ -341,21 +453,17 @@ class Simulation:
                 break
             if cnt[i] != ci or cnt[j] != cj:
                 heapq.heappop(heap)
+                self.n_stale_pops += 1
                 continue  # stale prediction
             if processed >= budget:
                 stopped = True
                 break
             heapq.heappop(heap)
             t_last = t_ev
-            if collide(t_ev, i, j):
+            if self._collide_pair(t_ev, i, j):
                 processed += 1
-                repredict(i, j)
-        if stopped or t_end == math.inf:
-            if t_last is not None:
-                self.t = max(self.t, t_last)
-        else:
-            self.t = t_end
-        return processed
+                self._repredict_pairs(i, j)
+        return processed, t_last, stopped
 
     def state(self) -> SystemState:
         """Synchronized snapshot at the current simulation time."""
@@ -402,6 +510,31 @@ def advance_inverse(state: SystemState, dt: float,
     out = sim.state()
     out.time = state.time - dt
     return out
+
+
+def _initial_adjacent_heap(x, v, t, sigma, box):
+    """The heap of first contacts of sorted rods whose local times are all t.
+
+    One pass over the adjacent pairs with the float expressions of the event
+    loop's re-prediction (tau = t), then one heapify: every key has the bits
+    a pair-by-pair push gives it, and pop order depends only on the keys,
+    which are unique.  The pass runs on the lists: a numpy pass costs about
+    20 us whatever the size, which would triple the heap build of the
+    many few-rod runs.
+    """
+    n = len(x)
+    d = t - t  # tau - t_i of every pair
+    heap = []
+    for i in range(n if box is not None else n - 1):
+        j, off = i + 1, 0.0
+        if j == n:
+            j, off = 0, box
+        rel = v[i] - v[j]
+        if rel > _TINY:
+            gap = (x[j] + off + v[j] * d) - (x[i] + v[i] * d) - sigma
+            heap.append((t + (0.0 if 0.0 > gap else gap) / rel, i, j, 0, 0))
+    heapq.heapify(heap)
+    return heap
 
 
 def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,

@@ -14,10 +14,13 @@ class SamplingFailureError(GranulabError):
 
 
 class EventStormError(GranulabError):
-    """Event-driven run aborted: too many collisions per particle per unit time.
+    """Event-driven run aborted: too many collisions per particle per unit
+    time, or an inverse-flow collision whose momenta or energy overflow.
 
-    Usually indicates inelastic collapse.  See Simulation(tc_threshold=...) for
-    the optional elastic-cutoff regularization.
+    The first usually indicates inelastic collapse; see
+    Simulation(tc_threshold=...) for the optional elastic-cutoff
+    regularization.  The second comes from the inverse flow multiplying the
+    normal relative speed by 1/(1-2*eps) at every contact.
     """
 
 

@@ -89,6 +89,17 @@ class TestSimulate:
         assert run["n_events"] == 1
         assert run["config_hash"] == config_hash(run["config"])
 
+    def test_run_counts(self, tmp_path):
+        # ten rods on a ring collide often enough for the TC rule to fire
+        rc = main(["simulate", "--out", str(tmp_path), "--set", "n=10",
+                   "--set", "box=1.0", "--set", "positions=null",
+                   "--set", "sigma=0.01", "--set", "eps=0.4",
+                   "--set", "tc_threshold=0.01", "--set", "t=2.0"])
+        assert rc == 0
+        run = read_json(tmp_path / "run.json")
+        assert run["n_events"] == len(read_rows(tmp_path / "events.csv"))
+        assert run["n_tc_elastic"] > 0 and run["n_stale_pops"] > 0
+
     def test_threads_flag_is_inert(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--out", str(out1), "--threads", "1"])

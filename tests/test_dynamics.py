@@ -410,6 +410,17 @@ def _log_columns(log):
             np.array([e.dE for e in ev], dtype=float))
 
 
+def _tc_elastic_in_log(log, tc):
+    """Logged collisions in which a participant had collided less than tc
+    earlier: the ones the TC rule makes elastic."""
+    last = {}
+    count = 0
+    for t, i, j in zip(log.t, log.i, log.j):
+        count += (t - last.get(i, -np.inf) < tc or t - last.get(j, -np.inf) < tc)
+        last[i] = last[j] = t
+    return count
+
+
 class TestGoldenTrajectories:
     """Bitwise pins of 1D trajectories.  The digests were recorded from the
     numpy-array form of the adjacency engine; a change that keeps every
@@ -430,6 +441,16 @@ class TestGoldenTrajectories:
             "f2d3561e7b72b1e55ce96365e6467c5d6bf6b4dcac58614028cf6841adb1cd4f")
         assert log.total_dissipation() == float.fromhex("-0x1.848ada5edebd3p+5")
 
+    def test_collapse_prone_ring_counts(self):
+        rng = np.random.default_rng(31)
+        s = random_state_1d(rng, 100, box=1.0, sigma=0.002, eps=0.25)
+        log = TrajectoryLog()
+        sim = Simulation(s, log=log, tc_threshold=1e-9)
+        sim.run(max_events=20_000)
+        assert sim.n_events == len(log.t) == 20_000
+        assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
+        assert sim.n_tc_elastic == _tc_elastic_in_log(log, 1e-9)
+
     @pytest.mark.parametrize("eps, digest", [
         (0.0, "90d0f0a62a2d69449d610727ac9bb23a6b9137e5204dc003285690b4fd0a6ff2"),
         (0.1, "2de872d5d82f9a1a20921af7eddded27a00ec25b5c906fd6d3262628b50c04dd"),
@@ -446,3 +467,186 @@ class TestGoldenTrajectories:
         assert fwd_log.n_events == back_log.n_events == 4
         assert _digest(fwd.q, fwd.p, back.q, back.p, *_log_columns(fwd_log),
                        *_log_columns(back_log)) == digest
+
+
+# (n, box, eps, rule, tc_threshold, first 16 hex digits of the sha256 of the
+# log columns, final q and p, clock and event count), recorded from the
+# engine that called a prediction method per pair.  Inverse rings at eps > 0
+# are left out: each contact multiplies the relative speed by 1/(1-2*eps)
+# until the momenta overflow (see TestInverseOverflow).
+TRAJECTORY_DIGESTS = [
+    (2, None, 0.0, "forward", None, "83e2d058a0a9e597"),
+    (2, None, 0.0, "forward", 1e-09, "83e2d058a0a9e597"),
+    (2, None, 0.0, "inverse", None, "c72b6beec30ac5ca"),
+    (2, None, 0.1, "forward", None, "83e2d058a0a9e597"),
+    (2, None, 0.1, "forward", 1e-09, "83e2d058a0a9e597"),
+    (2, None, 0.1, "inverse", None, "8860cdf408bbca4d"),
+    (2, None, 0.25, "forward", None, "83e2d058a0a9e597"),
+    (2, None, 0.25, "forward", 1e-09, "83e2d058a0a9e597"),
+    (2, None, 0.25, "inverse", None, "59d4d9a1d8cc1969"),
+    (2, 1.0, 0.0, "forward", None, "3ea5f35bae799a90"),
+    (2, 1.0, 0.0, "forward", 1e-09, "3ea5f35bae799a90"),
+    (2, 1.0, 0.0, "inverse", None, "6ec6f2cff0b4eb72"),
+    (2, 1.0, 0.1, "forward", None, "830a2b998bc5a164"),
+    (2, 1.0, 0.1, "forward", 1e-09, "830a2b998bc5a164"),
+    (2, 1.0, 0.25, "forward", None, "53f39150d4fa7262"),
+    (2, 1.0, 0.25, "forward", 1e-09, "53f39150d4fa7262"),
+    (3, None, 0.0, "forward", None, "3417856125d6caeb"),
+    (3, None, 0.0, "forward", 1e-09, "3417856125d6caeb"),
+    (3, None, 0.0, "inverse", None, "a8fe603fc4240cb3"),
+    (3, None, 0.1, "forward", None, "d7a3ff8ec170931e"),
+    (3, None, 0.1, "forward", 1e-09, "d7a3ff8ec170931e"),
+    (3, None, 0.1, "inverse", None, "1cb6be4a485e432e"),
+    (3, None, 0.25, "forward", None, "68fbe1ae3839813d"),
+    (3, None, 0.25, "forward", 1e-09, "68fbe1ae3839813d"),
+    (3, None, 0.25, "inverse", None, "fcf3c94197996654"),
+    (3, 1.0, 0.0, "forward", None, "c087bd421ba89af3"),
+    (3, 1.0, 0.0, "forward", 1e-09, "c087bd421ba89af3"),
+    (3, 1.0, 0.0, "inverse", None, "da99a317a71b9e22"),
+    (3, 1.0, 0.1, "forward", None, "a5f2e5f6bb62630d"),
+    (3, 1.0, 0.1, "forward", 1e-09, "a5f2e5f6bb62630d"),
+    (3, 1.0, 0.25, "forward", None, "ab16e62bfdfed2cc"),
+    (3, 1.0, 0.25, "forward", 1e-09, "ab16e62bfdfed2cc"),
+    (4, None, 0.0, "forward", None, "f6d1dbf026ae8ac5"),
+    (4, None, 0.0, "forward", 1e-09, "f6d1dbf026ae8ac5"),
+    (4, None, 0.0, "inverse", None, "d4be3e97c1eb8fad"),
+    (4, None, 0.1, "forward", None, "cd384b6ab104be05"),
+    (4, None, 0.1, "forward", 1e-09, "cd384b6ab104be05"),
+    (4, None, 0.1, "inverse", None, "75e2b1029c78ced8"),
+    (4, None, 0.25, "forward", None, "08a8c80c3d7554be"),
+    (4, None, 0.25, "forward", 1e-09, "08a8c80c3d7554be"),
+    (4, None, 0.25, "inverse", None, "eb72d55cea1cc450"),
+    (4, 1.0, 0.0, "forward", None, "a9b1a77a9261491d"),
+    (4, 1.0, 0.0, "forward", 1e-09, "a9b1a77a9261491d"),
+    (4, 1.0, 0.0, "inverse", None, "64c0bd8dcf4e983e"),
+    (4, 1.0, 0.1, "forward", None, "a2aab7f176161eb5"),
+    (4, 1.0, 0.1, "forward", 1e-09, "a2aab7f176161eb5"),
+    (4, 1.0, 0.25, "forward", None, "e8126b3cb1e942cf"),
+    (4, 1.0, 0.25, "forward", 1e-09, "e8126b3cb1e942cf"),
+    (9, None, 0.0, "forward", None, "9f224ee14f1de5c1"),
+    (9, None, 0.0, "forward", 1e-09, "9f224ee14f1de5c1"),
+    (9, None, 0.0, "inverse", None, "6a8ecef6110b6db9"),
+    (9, None, 0.1, "forward", None, "28d8f87c04cbcf26"),
+    (9, None, 0.1, "forward", 1e-09, "28d8f87c04cbcf26"),
+    (9, None, 0.1, "inverse", None, "256524a29a915f48"),
+    (9, None, 0.25, "forward", None, "5f72c23602b50845"),
+    (9, None, 0.25, "forward", 1e-09, "5f72c23602b50845"),
+    (9, None, 0.25, "inverse", None, "21c8f6a9437e673b"),
+    (9, 1.0, 0.0, "forward", None, "433bc9e055cec57a"),
+    (9, 1.0, 0.0, "forward", 1e-09, "433bc9e055cec57a"),
+    (9, 1.0, 0.0, "inverse", None, "f3938e364645094e"),
+    (9, 1.0, 0.1, "forward", None, "573d0e50d528aaf4"),
+    (9, 1.0, 0.1, "forward", 1e-09, "573d0e50d528aaf4"),
+    (9, 1.0, 0.25, "forward", None, "f0f60f03a0b1e7f5"),
+    (9, 1.0, 0.25, "forward", 1e-09, "f0f60f03a0b1e7f5"),
+]
+OVERFLOWING_CASES = [(n, 1.0, eps, "inverse", None)
+                     for n in (2, 3, 4, 9) for eps in (0.1, 0.25)]
+
+
+def _pinned_trajectory(n, box, eps, rule, tc):
+    """Simulation and log after four budget-cut runs and one open run."""
+    rng = np.random.default_rng(73)
+    s = sample_chaotic_state(n, UniformMaxwellian(), 0.02, Inelasticity(eps),
+                             1.0, rng)
+    s = SystemState(s.q, s.p, 0.02, Inelasticity(eps), box, time=0.3)
+    log = TrajectoryLog()
+    sim = Simulation(s, log=log, rule=rule, tc_threshold=tc)
+    for _ in range(4):
+        sim.run(dt=0.7, max_events=37)
+    sim.run(dt=1.0)
+    return sim, log
+
+
+class TestGoldenEventSequences:
+    """Bitwise pins of short 1D runs on lines and rings of 2 to 9 rods,
+    where the budget cuts runs short and the 2-rod ring re-predicts its one
+    pair of neighbours on both sides."""
+
+    @pytest.mark.parametrize("n, box, eps, rule, tc, digest",
+                             TRAJECTORY_DIGESTS,
+                             ids=[f"n{n}-box{b}-eps{e}-{r}-tc{tc}"
+                                  for n, b, e, r, tc, _ in TRAJECTORY_DIGESTS])
+    def test_digests(self, n, box, eps, rule, tc, digest):
+        sim, log = _pinned_trajectory(n, box, eps, rule, tc)
+        out = sim.state()
+        assert sim.n_events == len(log.t)
+        assert _digest(*_log_columns(log), out.q, out.p, np.array([sim.t]),
+                       np.array([sim.n_events]))[:16] == digest
+
+
+# (box, rule, heap size, sha256 of the sorted initial heap's columns)
+HEAP_DIGESTS = [
+    (1e4, "forward", 5037,
+     "e1098f9033441befa39f017867779261f7837bd6b2ceff3f727d3b1f25fcc30c"),
+    (1e4, "inverse", 4963,
+     "9d2fd85f1e780389df444f64c6f734fc0cfda2fa0c63ea47a8f528289553c89f"),
+    (None, "forward", 5037,
+     "e1098f9033441befa39f017867779261f7837bd6b2ceff3f727d3b1f25fcc30c"),
+    (None, "inverse", 4962,
+     "a93e3544476265f97b8492733c0a72b84153b8761fb06781410d807a85e67cbf"),
+]
+
+
+class TestGoldenInitialHeap:
+    """The initial predictions of 10**4 rods, recorded from the engine that
+    pushed one pair at a time.  Pop order depends only on the keys, so equal
+    sorted heaps give equal event sequences."""
+
+    @pytest.mark.parametrize("box, rule, size, digest", HEAP_DIGESTS,
+                             ids=[f"box{b}-{r}" for b, r, _, _ in HEAP_DIGESTS])
+    def test_digests(self, box, rule, size, digest):
+        rng = np.random.default_rng(80)
+        ring = sample_chaotic_state(10_000, UniformMaxwellian(length=1e4),
+                                    0.01, Inelasticity(0.25), 1e4, rng)
+        s = SystemState(ring.q, ring.p, 0.01, Inelasticity(0.25), box,
+                        time=0.3)
+        heap = sorted(Simulation(s, rule=rule).heap)
+        t_ev, *ints = zip(*heap)
+        assert len(heap) == size
+        assert _digest(np.array(t_ev, dtype=float),
+                       np.array(ints, dtype=np.int64)) == digest
+
+
+class TestInverseOverflow:
+    """Each inverse contact multiplies the normal relative speed by
+    1/(1-2*eps); on a ring the contacts then come ever faster until the
+    momenta or their energy overflow, and the run must stop there instead of
+    running on with nan times."""
+
+    def test_two_rod_ring(self):
+        s = SystemState(np.array([[0.2], [0.6]]), np.array([[0.5], [-0.5]]),
+                        0.02, Inelasticity(0.25), 1.0)
+        log = TrajectoryLog()
+        sim = Simulation(s, log=log, rule="inverse")
+        with pytest.raises(EventStormError, match=r"1/\(1-2\*eps\) = 2 "):
+            sim.run(dt=3.0)
+        assert 0 < sim.n_events == len(log.t) <= 1025
+        assert all(np.isfinite(column).all() for column in _log_columns(log))
+
+    @pytest.mark.parametrize("n, box, eps, rule, tc", OVERFLOWING_CASES)
+    def test_pinned_rings(self, n, box, eps, rule, tc):
+        with pytest.raises(EventStormError, match="overflow"):
+            _pinned_trajectory(n, box, eps, rule, tc)
+
+
+class TestRunCounts:
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_no_tc_count_without_tc(self, engine):
+        rng = np.random.default_rng(33)
+        s = random_state_1d(rng, 12, box=1.0, sigma=0.01, eps=0.25)
+        log = TrajectoryLog()
+        sim = Simulation(s, log=log, engine=engine)
+        sim.run(dt=1.0)
+        assert sim.n_events == len(log.t) > 10
+        assert sim.n_tc_elastic == 0
+        assert sim.n_stale_pops > 0
+
+    def test_counts_accumulate_over_runs(self):
+        rng = np.random.default_rng(31)
+        s = random_state_1d(rng, 100, box=1.0, sigma=0.002, eps=0.25)
+        sim = Simulation(s, tc_threshold=1e-9)
+        for _ in range(4):
+            sim.run(max_events=5_000)
+        assert sim.n_events == 20_000
+        assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
