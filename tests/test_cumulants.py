@@ -16,6 +16,8 @@ from granulab.cumulants import (
 from granulab.dynamics import advance, evolve_rods_ensemble
 from granulab.errors import ConfigError
 
+from golden import hex_floats
+
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
 
@@ -352,6 +354,18 @@ PINS_duality = [
     (4, 0.25, ("0x1.a4962fc962fc9p-54", "0x1.965213faa4ceap-46")),
 ]
 
+# (n, eps, t, float.hex of (residual, stderr)) at mc_samples=10**4, seed 7
+PINS_duality_grid = [
+    (2, 0.0, 0.5, ("-0x1.de8ca57a786c2p-60", "0x1.67ddd3453bfd5p-46")),
+    (2, 0.0, 2.0, ("-0x1.faaf0d844d014p-60", "0x1.67ddd3453bfd5p-46")),
+    (2, 0.25, 0.5, ("-0x1.c53adab9f559bp-59", "0x1.479b47ec44609p-46")),
+    (2, 0.25, 2.0, ("-0x1.5f29a6b50b0f2p-59", "0x1.45dfb623cbfb1p-46")),
+    (3, 0.0, 0.5, ("0x1.7dd013a92a305p-57", "0x1.c31b003b6ecf6p-46")),
+    (3, 0.0, 2.0, ("0x1.2800d1b71758ep-57", "0x1.c31b003b6ecf6p-46")),
+    (3, 0.25, 0.5, ("0x1.e686594af4f0ep-58", "0x1.7147e24e01c12p-46")),
+    (3, 0.25, 2.0, ("0x1.9019652bd3c36p-57", "0x1.6d848937515cep-46")),
+]
+
 GOLDEN_CUMULANTS = {
     # name: (_rods arguments, observable, apply_cumulant keywords,
     #        float.hex of the value at orders 0..6)
@@ -390,6 +404,17 @@ class TestGoldenPartitionSums:
                                     UniformMaxwellian(length=1.0), 1.0, n,
                                     300, 0.02, Inelasticity(eps), seed=5)
         assert (res.hex(), err.hex()) == pins
+
+    @pytest.mark.parametrize("n, eps, t, pins", PINS_duality_grid,
+                             ids=[f"n{n}-eps{e}-t{t}"
+                                  for n, e, t, _ in PINS_duality_grid])
+    def test_duality_residual_grid(self, n, eps, t, pins):
+        # the residual is rounding residue, so it pins the order in which
+        # the partition terms are summed as well as every evolved value
+        res, err = duality_residual(lambda q, p: 0.5 * p * p,
+                                    UniformMaxwellian(length=1.0), t, n,
+                                    10_000, 0.02, Inelasticity(eps), seed=7)
+        assert hex_floats(res, err) == pins
 
     def test_each_block_evolves_once(self, monkeypatch):
         # an order-6 cumulant on 7 rods sums Bell(7) = 877 partitions, but

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,8 @@ from granulab.dynamics import (
     evolve_rods_ensemble,
 )
 from granulab.errors import ConfigError, EventStormError
+
+from golden import digest
 
 
 def two_rods(eps=0.0, sigma=0.1):
@@ -277,6 +277,85 @@ class TestEvolveRodsEnsemble:
         np.testing.assert_allclose(qf, q + p)
         assert ncol[0] == 0
 
+    def test_leaves_inputs_unchanged(self):
+        # duality_residual passes the same blocks to every call, as
+        # transposed views of per-particle rows
+        rng = np.random.default_rng(32)
+        q = _gap_positions(500, 3, 1.0, 0.02, rng).T.copy()
+        p = rng.normal(size=q.shape)
+        q0, p0 = q.copy(), p.copy()
+        evolve_rods_ensemble(q.T, p.T, 2.0, 0.02, Inelasticity(0.25))
+        assert np.array_equal(q, q0) and np.array_equal(p, p0)
+
+    def test_no_rows(self):
+        q = np.empty((0, 3))
+        qf, pf, ncol = evolve_rods_ensemble(q, q, 1.0, 0.1, Inelasticity(0.25))
+        assert qf.shape == pf.shape == (0, 3) and ncol.shape == (0,)
+
+    def test_no_pair_approaches(self):
+        # ascending momenta: every gap opens, so the block flies freely
+        rng = np.random.default_rng(33)
+        q = _gap_positions(1000, 3, 1.0, 0.02, rng)
+        p = np.sort(rng.normal(size=q.shape), axis=1)
+        qf, pf, ncol = evolve_rods_ensemble(q, p, 2.0, 0.02, Inelasticity(0.25))
+        assert np.array_equal(qf, q + p * 2.0) and np.array_equal(pf, p)
+        assert not ncol.any()
+
+    def test_rows_end_as_they_end_alone(self):
+        # rows that stop colliding in different rounds are written back to
+        # their own rows, bitwise as when each row is evolved on its own
+        rng = np.random.default_rng(34)
+        q = _gap_positions(200, 5, 1.0, 0.02, rng)
+        p = rng.normal(size=q.shape)
+        qf, pf, ncol = evolve_rods_ensemble(q, p, 2.0, 0.02, Inelasticity(0.25))
+        assert len(set(ncol.tolist())) >= 5
+        for r in range(q.shape[0]):
+            qr, pr, nr = evolve_rods_ensemble(q[r:r + 1], p[r:r + 1], 2.0,
+                                              0.02, Inelasticity(0.25))
+            assert np.array_equal(qr[0], qf[r]) and np.array_equal(pr[0], pf[r])
+            assert nr[0] == ncol[r]
+
+
+class TestTonksIdentity:
+    """Contracting every gap of a 1D rod system: rods of diameter s1 at x_k
+    (sorted) on a ring of length L and rods of diameter s2 at
+    y_k = x_k - k(s1 - s2) on a ring of length L - N(s1 - s2) have equal
+    gaps.  The contact times agree to rounding, so both runs apply the same
+    collisions in the same order (the TC rule included) and the momenta
+    stay bitwise equal."""
+
+    @pytest.mark.parametrize("periodic, rule, eps, tc", [
+        (True, "forward", 0.25, 0.01),
+        (False, "forward", 0.25, 0.01),
+        (True, "inverse", 0.02, None),
+        (False, "inverse", 0.02, None),
+    ])
+    def test_contracted_gaps(self, periodic, rule, eps, tc):
+        n, length, s1, s2, t = 1000, 1000.0, 0.04, 0.01, 2.0
+        rng = np.random.default_rng(35)
+        x = _gap_positions(1, n, length, s1, rng)[0]
+        p = rng.normal(size=(n, 1))
+        y = x - (s1 - s2) * np.arange(n)
+        short = length - n * (s1 - s2)
+        runs = []
+        for q, sigma, box in ((x, s1, length), (y, s2, short)):
+            s = SystemState(q[:, None], p, sigma, Inelasticity(eps),
+                            box if periodic else None)
+            log = TrajectoryLog()
+            sim = Simulation(s, log=log, rule=rule, tc_threshold=tc)
+            sim.run(dt=t)
+            out = sim.state().q[:, 0] - q
+            if periodic:
+                out = np.mod(out + box / 2, box) - box / 2
+            runs.append((sim.state().p, log, out, sim.n_tc_elastic))
+        (p1, log1, dx1, tc1), (p2, log2, dx2, tc2) = runs
+        assert log1.n_events > 100 and tc1 == tc2
+        assert (tc1 > 0) == (tc is not None)
+        assert np.array_equal(p1, p2)
+        assert list(log1.i) == list(log2.i) and list(log1.j) == list(log2.j)
+        np.testing.assert_allclose(log1.t, log2.t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(dx1, dx2, rtol=0, atol=1e-9)
+
 
 EVOLVER_DIGESTS = [
     (2, 0.0, 0.5,
@@ -330,20 +409,20 @@ class TestEvolveRodsEnsembleGolden:
         q = _gap_positions(10_000, n, 1.0, 0.02, rng)
         return q, rng.normal(size=q.shape)
 
-    @pytest.mark.parametrize("n, eps, t, digest", EVOLVER_DIGESTS,
+    @pytest.mark.parametrize("n, eps, t, pin", EVOLVER_DIGESTS,
                              ids=[f"n{n}-eps{e}-t{t}"
                                   for n, e, t, _ in EVOLVER_DIGESTS])
-    def test_digests(self, n, eps, t, digest):
+    def test_digests(self, n, eps, t, pin):
         q, p = self.inputs(n)
         out = evolve_rods_ensemble(q, p, t, 0.02, Inelasticity(eps))
-        assert _digest(*out) == digest
+        assert digest(*out) == pin
 
     def test_non_contiguous_view(self):
         # every second row and every second rod of six
         q, p = self.inputs(6)
         out = evolve_rods_ensemble(q[::2, ::2], p[::2, ::2], 2.0, 0.02,
                                    Inelasticity(0.25))
-        assert _digest(*out) == (
+        assert digest(*out) == (
             "301bdd3cd2d668cc732073bff7df1e53cec548d4a900cd4449b4cb5508ce9748")
 
     def test_tie_takes_first_gap(self):
@@ -393,13 +472,6 @@ class TestTrajectoryLog:
             events[0].eta[0] = 2.0  # the shared 1D normal is read-only
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 def _log_columns(log):
     ev = log.events
     return (np.array([e.t for e in ev], dtype=float),
@@ -433,11 +505,11 @@ class TestGoldenTrajectories:
         sim = Simulation(s, log=log, tc_threshold=1e-9)
         assert sim.run(max_events=20_000) == 20_000
         out = sim.state()
-        assert _digest(out.q) == (
+        assert digest(out.q) == (
             "36b43590368fff242ce3486c570a20976ba0ef31c90a0492c91589eda32e1ef8")
-        assert _digest(out.p) == (
+        assert digest(out.p) == (
             "69e58863c859c54f7ad91fc270cbdf0f39d5ed8cb3c9401b14cb9075fa22ab37")
-        assert _digest(*_log_columns(log)) == (
+        assert digest(*_log_columns(log)) == (
             "f2d3561e7b72b1e55ce96365e6467c5d6bf6b4dcac58614028cf6841adb1cd4f")
         assert log.total_dissipation() == float.fromhex("-0x1.848ada5edebd3p+5")
 
@@ -451,11 +523,11 @@ class TestGoldenTrajectories:
         assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
         assert sim.n_tc_elastic == _tc_elastic_in_log(log, 1e-9)
 
-    @pytest.mark.parametrize("eps, digest", [
+    @pytest.mark.parametrize("eps, pin", [
         (0.0, "90d0f0a62a2d69449d610727ac9bb23a6b9137e5204dc003285690b4fd0a6ff2"),
         (0.1, "2de872d5d82f9a1a20921af7eddded27a00ec25b5c906fd6d3262628b50c04dd"),
     ])
-    def test_round_trip_unbounded_rods(self, eps, digest):
+    def test_round_trip_unbounded_rods(self, eps, pin):
         rng = np.random.default_rng(32)
         sigma, n = 0.1, 7
         q = np.sort(rng.uniform(0.0, 2.0 - n * sigma, size=n)) + sigma * np.arange(n)
@@ -465,8 +537,8 @@ class TestGoldenTrajectories:
         fwd = advance(s, 1.0, log=fwd_log)
         back = advance_inverse(fwd, 1.0, log=back_log)
         assert fwd_log.n_events == back_log.n_events == 4
-        assert _digest(fwd.q, fwd.p, back.q, back.p, *_log_columns(fwd_log),
-                       *_log_columns(back_log)) == digest
+        assert digest(fwd.q, fwd.p, back.q, back.p, *_log_columns(fwd_log),
+                      *_log_columns(back_log)) == pin
 
 
 # (n, box, eps, rule, tc_threshold, first 16 hex digits of the sha256 of the
@@ -563,16 +635,16 @@ class TestGoldenEventSequences:
     where the budget cuts runs short and the 2-rod ring re-predicts its one
     pair of neighbours on both sides."""
 
-    @pytest.mark.parametrize("n, box, eps, rule, tc, digest",
+    @pytest.mark.parametrize("n, box, eps, rule, tc, pin",
                              TRAJECTORY_DIGESTS,
                              ids=[f"n{n}-box{b}-eps{e}-{r}-tc{tc}"
                                   for n, b, e, r, tc, _ in TRAJECTORY_DIGESTS])
-    def test_digests(self, n, box, eps, rule, tc, digest):
+    def test_digests(self, n, box, eps, rule, tc, pin):
         sim, log = _pinned_trajectory(n, box, eps, rule, tc)
         out = sim.state()
         assert sim.n_events == len(log.t)
-        assert _digest(*_log_columns(log), out.q, out.p, np.array([sim.t]),
-                       np.array([sim.n_events]))[:16] == digest
+        assert digest(*_log_columns(log), out.q, out.p, np.array([sim.t]),
+                      np.array([sim.n_events]))[:16] == pin
 
 
 # (box, rule, heap size, sha256 of the sorted initial heap's columns)
@@ -593,9 +665,9 @@ class TestGoldenInitialHeap:
     pushed one pair at a time.  Pop order depends only on the keys, so equal
     sorted heaps give equal event sequences."""
 
-    @pytest.mark.parametrize("box, rule, size, digest", HEAP_DIGESTS,
+    @pytest.mark.parametrize("box, rule, size, pin", HEAP_DIGESTS,
                              ids=[f"box{b}-{r}" for b, r, _, _ in HEAP_DIGESTS])
-    def test_digests(self, box, rule, size, digest):
+    def test_digests(self, box, rule, size, pin):
         rng = np.random.default_rng(80)
         ring = sample_chaotic_state(10_000, UniformMaxwellian(length=1e4),
                                     0.01, Inelasticity(0.25), 1e4, rng)
@@ -604,8 +676,8 @@ class TestGoldenInitialHeap:
         heap = sorted(Simulation(s, rule=rule).heap)
         t_ev, *ints = zip(*heap)
         assert len(heap) == size
-        assert _digest(np.array(t_ev, dtype=float),
-                       np.array(ints, dtype=np.int64)) == digest
+        assert digest(np.array(t_ev, dtype=float),
+                      np.array(ints, dtype=np.int64)) == pin
 
 
 class TestInverseOverflow:

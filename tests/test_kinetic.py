@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,79 @@ from granulab.kinetic import (
     _collide_in_rounds,
     suggest_dt,
 )
+
+from golden import digest, hex_floats
+
+
+# (d, eps, budget, p1, seed offset, float.hex of (value, stderr, the
+# generator's next uniform draw)) at q1 = 0.3, sigma = 0.05, a unit Maxwellian
+ENSKOG_PINS = [
+    (1, 0.0, 2, [0.0], 0,
+     ("0x0.0p+0", "0x0.0p+0", "0x1.e24378b8e00b2p-1")),
+    (1, 0.0, 2, [-0.7], 1,
+     ("0x0.0p+0", "0x0.0p+0", "0x1.01fcf36daa090p-3")),
+    (1, 0.0, 2, [1.3], 2,
+     ("0x1.d19947ac514d9p-56", "0x1.d19947ac514d8p-56",
+      "0x1.b79a2584ddb42p-1")),
+    (1, 0.0, 200, [0.0], 0,
+     ("0x0.0p+0", "0x0.0p+0", "0x1.58c59c3b50f0ap-1")),
+    (1, 0.0, 200, [-0.7], 1,
+     ("0x1.707d2b108f9b3p-56", "0x1.10df5ef10cf3cp-57",
+      "0x1.b23554510bf5ap-2")),
+    (1, 0.0, 200, [1.3], 2,
+     ("-0x1.4e58d6cea622ep-58", "0x1.018857f42a26ap-57",
+      "0x1.c8aa0df799840p-7")),
+    (1, 0.25, 2, [0.0], 0,
+     ("-0x1.02316d0892c5ap-2", "0x1.efa8c492e2997p-7",
+      "0x1.e24378b8e00b2p-1")),
+    (1, 0.25, 2, [-0.7], 1,
+     ("0x1.f3b2de3ea69b6p-5", "0x1.0aa4d5e4b86f1p-3", "0x1.01fcf36daa090p-3")),
+    (1, 0.25, 2, [1.3], 2,
+     ("0x1.21d9d4aca3c92p-4", "0x1.327d53e497c1ap-2", "0x1.b79a2584ddb42p-1")),
+    (1, 0.25, 200, [0.0], 0,
+     ("0x1.642045e25096ep-3", "0x1.cc83904b021dap-6", "0x1.58c59c3b50f0ap-1")),
+    (1, 0.25, 200, [-0.7], 1,
+     ("0x1.6fa7c23c2654fp-4", "0x1.aa0787a34fd68p-6", "0x1.b23554510bf5ap-2")),
+    (1, 0.25, 200, [1.3], 2,
+     ("-0x1.2cd6e57e18a95p-4", "0x1.3d8476bdb323ep-6",
+      "0x1.c8aa0df799840p-7")),
+    (3, 0.0, 2, [0.0, 0.0, 0.0], 0,
+     ("-0x1.fc95f88bacca7p-63", "0x1.7be46ba5c6bdfp-63",
+      "0x1.5ac1c346154d0p-5")),
+    (3, 0.0, 2, [0.3, -1.2, 0.5], 1,
+     ("0x1.ad441c59502c9p-64", "0x1.3bff8545e1bf9p-64",
+      "0x1.59eea341affe6p-2")),
+    (3, 0.0, 2, [1.5, 0.2, -0.4], 2,
+     ("-0x1.bdc8f2e74b250p-71", "0x1.bdc8f2e74b250p-71",
+      "0x1.49a8b06390299p-1")),
+    (3, 0.0, 200, [0.0, 0.0, 0.0], 0,
+     ("0x1.f372a3292ef33p-65", "0x1.518e9ce5356c9p-65",
+      "0x1.baca615f0cea7p-1")),
+    (3, 0.0, 200, [0.3, -1.2, 0.5], 1,
+     ("-0x1.0325725be1379p-64", "0x1.1a26e6d6c5fd6p-64",
+      "0x1.91a845259dafap-1")),
+    (3, 0.0, 200, [1.5, 0.2, -0.4], 2,
+     ("-0x1.1d60db99d0a21p-67", "0x1.2fdf7a3091263p-64",
+      "0x1.a7e7d5db51664p-3")),
+    (3, 0.25, 2, [0.0, 0.0, 0.0], 0,
+     ("-0x1.caa3bd0b4ef8ap-14", "0x1.9c6a397feab0cp-13",
+      "0x1.5ac1c346154d0p-5")),
+    (3, 0.25, 2, [0.3, -1.2, 0.5], 1,
+     ("0x1.669a543c8700dp-13", "0x1.46c1d95db0006p-13",
+      "0x1.59eea341affe6p-2")),
+    (3, 0.25, 2, [1.5, 0.2, -0.4], 2,
+     ("-0x1.413d1b6c73cc4p-14", "0x1.3e98ac9e5313dp-14",
+      "0x1.49a8b06390299p-1")),
+    (3, 0.25, 200, [0.0, 0.0, 0.0], 0,
+     ("0x1.dee502eac95c0p-12", "0x1.99d3ba3624527p-14",
+      "0x1.baca615f0cea7p-1")),
+    (3, 0.25, 200, [0.3, -1.2, 0.5], 1,
+     ("-0x1.5db2c64de0740p-17", "0x1.d3d94fdcce2d4p-15",
+      "0x1.91a845259dafap-1")),
+    (3, 0.25, 200, [1.5, 0.2, -0.4], 2,
+     ("-0x1.7aedd97febb3dp-14", "0x1.885133269eb24p-15",
+      "0x1.a7e7d5db51664p-3")),
+]
 
 
 class TestEnskogIntegral:
@@ -57,6 +128,18 @@ class TestEnskogIntegral:
         v2, e2 = enskog_collision_integral(f2, x1, 0.05, Inelasticity(0.25),
                                            mc_budget=40_000, rng=rng)
         assert abs(v1 - v2) <= 3 * np.hypot(e1, e2)
+
+    @pytest.mark.parametrize("d, eps, budget, p1, k, pins", ENSKOG_PINS,
+                             ids=[f"d{d}-eps{e}-m{b}-{k}"
+                                  for d, e, b, _, k, _ in ENSKOG_PINS])
+    def test_golden(self, d, eps, budget, p1, k, pins):
+        # bitwise pin of the estimate and of the draws it consumed
+        rng = np.random.default_rng(40 + k)
+        value, stderr = enskog_collision_integral(
+            maxwellian_product_f2(temperature=1.0, d=d),
+            (np.full(d, 0.3), np.array(p1)), 0.05, Inelasticity(eps),
+            budget, d=d, rng=rng)
+        assert hex_floats(value, stderr, rng.random()) == pins
 
 
 class TestDsmc:
@@ -189,13 +272,6 @@ class TestDsmc:
             granular_temperature(state)
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 class TestDsmcGolden:
     """Bitwise pins of DSMC runs: ``steps`` rounds of ``suggest_dt`` plus
     ``dsmc_step``.  The digests were recorded from the per-pair loop form of
@@ -245,9 +321,9 @@ class TestDsmcGolden:
         for _ in range(steps):
             dts.append(suggest_dt(state, safety=safety))
             state = dsmc_step(state, dts[-1], rng)
-        assert _digest(state.q) == q_digest
-        assert _digest(state.p) == p_digest
-        assert _digest(np.array(dts), rng.random(4)) == dt_digest
+        assert digest(state.q) == q_digest
+        assert digest(state.p) == p_digest
+        assert digest(np.array(dts), rng.random(4)) == dt_digest
 
 
 class TestDsmcStepState:
