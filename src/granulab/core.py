@@ -56,7 +56,7 @@ def unit_normal(eta) -> np.ndarray:
 
 def _normal_component(p1, p2, eta):
     # <eta, p1 - p2>, broadcasting over leading axes
-    return np.sum(eta * (np.asarray(p1) - np.asarray(p2)), axis=-1)
+    return np.add.reduce(eta * (np.asarray(p1) - np.asarray(p2)), axis=-1)
 
 
 def collide(p1, p2, eta, eps: Inelasticity, check: bool = True):

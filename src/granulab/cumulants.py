@@ -17,6 +17,7 @@ gridded densities.  Covered pieces:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,11 +60,13 @@ def set_partitions(items):
         yield ((first,),) + sub
 
 
+@functools.cache
 def enumerate_cumulant_terms(n: int):
-    """All partition terms of the (1+n)th-order cumulant of semigroups."""
+    """All partition terms of the (1+n)th-order cumulant of semigroups, as a
+    tuple built on the first call for each order."""
     if not 0 <= n <= _MAX_ORDER:
         raise ConfigError(f"cumulant order {n} outside [0, {_MAX_ORDER}]")
-    return list(_cumulant_terms(range(n + 1)))
+    return tuple(_cumulant_terms(range(n + 1)))
 
 
 def _cumulant_terms(items):
@@ -352,10 +355,11 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
              _cumulant_terms([j for j in range(n) if mask >> j & 1]))
     bvals = {}
     lhs = np.zeros(m)
+    term = np.empty(m)
     for coeff, blocks in _evolved_terms(terms, evolve, bvals):
         for vals in blocks:
             for v in vals:
-                lhs += coeff * v
+                lhs += np.multiply(coeff, v, out=term)
     rhs = sum(bvals[tuple(range(n))])
 
     res = lhs - rhs

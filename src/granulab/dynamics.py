@@ -547,9 +547,10 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
     earliest contact, the first gap on ties.
 
     Each rod's positions and momenta are held in one contiguous array of M
-    entries.  The first round runs in place on every row; later rounds run
-    on compact arrays of the rows that collided in the round before, and a
-    row is written back once, when it finishes.
+    entries; the caller's arrays are not modified.  The first round runs in
+    place on every row.  Each later round runs on compact copies of the
+    rows that collided in the round before, taken by row index (never by a
+    boolean mask), and writes those rows back by the same index.
     Returns (q_final, p_final, collisions_per_row); the two (M, N) arrays
     are column views of the per-rod arrays.
     """
@@ -562,39 +563,35 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
     max_rounds = 100 * n + 1000
     fac = 1.0 - eps.epsilon
     # the rows of the current round: every row (as views) in the first one
-    qs, ps, nc = list(qo), list(po), ncol
+    qs, ps = list(qo), list(po)
     remaining = np.full(m, float(t))
     rows = None
     for _ in range(max_rounds):
         if remaining.size == 0:
             return qo.T, po.T, ncol
         tmin, k = _first_contact(qs, ps, sigma)
-        hit = tmin <= remaining
-        dt_step = np.where(hit, tmin, remaining)
+        hit = np.flatnonzero(tmin <= remaining)
+        dt = np.minimum(tmin, remaining)  # tmin at a hit, else remaining
         for qj, pj in zip(qs, ps):
-            qj += pj * dt_step
-        remaining -= dt_step
-        k[~hit] = -1
+            qj += pj * dt
+        kh = k.take(hit)
         for j in range(n - 1):
-            r = np.flatnonzero(k == j)
-            pl, pr = ps[j][r], ps[j + 1][r]
+            r = hit.take(np.flatnonzero(kh == j))
+            pl, pr = ps[j].take(r), ps[j + 1].take(r)
             kick = fac * (pl - pr)
             ps[j][r] = pl - kick
             ps[j + 1][r] = pr + kick
-        nc += hit
         if rows is None:
-            rows = np.flatnonzero(hit)
+            rows = hit
         else:
-            done = ~hit
-            fin = rows[done]
             for j in range(n):
-                qo[j, fin] = qs[j][done]
-                po[j, fin] = ps[j][done]
-            ncol[fin] = nc[done]
-            rows = rows[hit]
-        qs = [a[hit] for a in qs]
-        ps = [a[hit] for a in ps]
-        nc, remaining = nc[hit], remaining[hit]
+                qo[j][rows] = qs[j]
+                po[j][rows] = ps[j]
+            rows = rows.take(hit)
+        ncol[rows] += 1
+        remaining = remaining.take(hit) - tmin.take(hit)
+        qs = [a.take(hit) for a in qs]
+        ps = [a.take(hit) for a in ps]
     raise EventStormError(
         f"evolve_rods_ensemble exceeded {max_rounds} rounds; "
         "likely inelastic collapse in some row"
@@ -603,17 +600,23 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
 
 def _first_contact(qs, ps, sigma):
     """Earliest contact time of each row over its N-1 adjacent gaps and the
-    first gap reaching it (inf and 0 when no pair approaches)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(len(qs) - 1):
-            rel = ps[j] - ps[j + 1]
-            tj = np.where(rel > _TINY,
-                          np.maximum(qs[j + 1] - qs[j] - sigma, 0.0) / rel,
-                          np.inf)
-            if j == 0:
-                tmin, k = tj, np.zeros(tj.size, dtype=np.intp)
-            else:
-                better = tj < tmin
-                tmin = np.where(better, tj, tmin)
-                k[better] = j
+    first gap reaching it (inf and 0 when no pair approaches); each gap's
+    contact time is computed on its approaching rows only."""
+    tmin = np.full(qs[0].size, np.inf)
+    k = np.zeros(qs[0].size, dtype=np.intp)
+    for j in range(len(qs) - 1):
+        rel = ps[j] - ps[j + 1]
+        a = np.flatnonzero(rel > _TINY)
+        tj = qs[j + 1].take(a)
+        tj -= qs[j].take(a)
+        tj -= sigma
+        np.maximum(tj, 0.0, out=tj)
+        tj /= rel.take(a)
+        if j == 0:
+            tmin[a] = tj
+        else:
+            better = np.flatnonzero(tj < tmin.take(a))
+            b = a.take(better)
+            tmin[b] = tj.take(better)
+            k[b] = j
     return tmin, k

@@ -14,6 +14,7 @@ weight (inverse-map Jacobian times the kernel scaling).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,15 +25,14 @@ from .errors import ConfigError, DtGuardError
 
 def maxwellian_product_f2(temperature: float = 1.0, d: int = 1):
     """Spatially uniform product two-particle density with Gaussian momenta,
-    at unit number density."""
+    at unit number density; the density takes (M, d) arrays."""
     norm = (2.0 * np.pi * temperature) ** (-0.5 * d)
 
     def f2(q1, p1, q2, p2):
-        p1 = np.atleast_2d(p1)
-        p2 = np.atleast_2d(p2)
-        e1 = norm * np.exp(-0.5 * np.sum(p1 * p1, axis=-1) / temperature)
-        e2 = norm * np.exp(-0.5 * np.sum(p2 * p2, axis=-1) / temperature)
-        return e1 * e2
+        s1 = np.add.reduce(p1 * p1, axis=-1)
+        s2 = np.add.reduce(p2 * p2, axis=-1)
+        return (norm * np.exp(-0.5 * s1 / temperature)
+                * (norm * np.exp(-0.5 * s2 / temperature)))
 
     return f2
 
@@ -42,7 +42,10 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
                               rng: np.random.Generator):
     """Monte Carlo gain-minus-loss collision integral at the phase point x1.
 
-    ``f2_eval(q1, p1, q2, p2)`` must accept (M, d) arrays.  The gain is
+    ``f2_eval(q1, p1, q2, p2)`` takes (M, d) arrays and returns the M
+    density values: an array of shape (M,), or of a shape that broadcasts
+    to it, (1,) or (); any other shape, such as (M, 1), raises
+    ConfigError.  The gain is
     evaluated at pre-collision momenta and offset position q1 - sigma*eta,
     the loss at q1 + sigma*eta; in 1D the contact normal is the sign of the
     relative momentum, in 3D it is drawn uniformly from the approach
@@ -54,41 +57,46 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
         raise ConfigError(f"dimension must be 1 or 3, got {d}")
     if mc_budget < 2:
         raise ConfigError("mc_budget must be at least 2")
-    q1, p1 = (np.asarray(a, dtype=float).reshape(d) for a in x1)
+    q1, p1 = (np.asarray(a, dtype=float).reshape(1, d) for a in x1)
     m = int(mc_budget)
 
     p_scale = 2.0
     p2 = rng.normal(0.0, p_scale, size=(m, d))
     rho = ((2.0 * np.pi * p_scale ** 2) ** (-0.5 * d)
-           * np.exp(-0.5 * np.sum(p2 * p2, axis=1) / p_scale ** 2))
-    g = p1[None, :] - p2
+           * np.exp(-0.5 * np.add.reduce(p2 * p2, axis=1) / p_scale ** 2))
+    g = p1 - p2
     if d == 1:
-        eta = np.sign(g)
-        eta[eta == 0.0] = 1.0
+        eta = np.where(g < 0.0, -1.0, 1.0)  # sign(g), with +1 at g == 0
         measure = 1.0
         prefac = 1.0
     else:
         eta = rng.normal(size=(m, 3))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        flip = np.sum(eta * g, axis=1) < 0.0
-        eta[flip] *= -1.0
+        eta /= np.sqrt(np.add.reduce(eta * eta, axis=1, keepdims=True))
+        eta[np.add.reduce(eta * g, axis=1) < 0.0] *= -1.0
         measure = 2.0 * np.pi
         prefac = sigma ** 2
-    g_n = np.sum(eta * g, axis=1)
+    g_n = np.add.reduce(eta * g, axis=1)
     p1_pre, p2_pre = precollide(p1, p2, eta, eps)
 
-    q1b = np.broadcast_to(q1, (m, d))
-    gain = np.asarray(f2_eval(q1b, p1_pre, q1b - sigma * eta, p2_pre),
+    q1b = q1.repeat(m, axis=0)
+    gain = np.asarray(f2_eval(q1b, p1_pre, q1 - sigma * eta, p2_pre),
                       dtype=float)
-    loss = np.asarray(f2_eval(q1b, np.broadcast_to(p1, (m, d)),
-                              q1b + sigma * eta, p2), dtype=float)
-    if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(loss))):
+    loss = np.asarray(f2_eval(q1b, p1.repeat(m, axis=0), q1 + sigma * eta,
+                              p2), dtype=float)
+    if not {gain.shape, loss.shape} <= {(m,), (1,), ()}:
+        raise ConfigError(f"two-particle density must return shape ({m},), "
+                          f"got {gain.shape} and {loss.shape}")
+    if not (np.isfinite(gain).all() and np.isfinite(loss).all()):
         raise ConfigError("two-particle density returned non-finite values")
 
     vals = prefac * measure * g_n * (
         gain / (1.0 - 2.0 * eps.epsilon) ** 2 - loss) / rho
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(m))
+    # vals.mean() and vals.std(ddof=1), with the same float operations
+    mean = np.add.reduce(vals) / m
+    dev = vals - mean
+    dev *= dev
+    value = float(mean)
+    stderr = math.sqrt(np.add.reduce(dev) / (m - 1)) / math.sqrt(m)
     return value, stderr
 
 

@@ -100,6 +100,17 @@ class TestEnskogIntegral:
             mc_budget=500, rng=np.random.default_rng(0))
         assert val == 0.0 and err == 0.0
 
+    def test_column_density_rejected(self):
+        # an (m, 1) result would broadcast against the (m,) weights into an
+        # (m, m) sum: 15.9 +- 16.3 here instead of about 0.119 +- 0.012
+        f2 = maxwellian_product_f2(temperature=1.0, d=1)
+        column = lambda q1, p1, q2, p2: f2(q1, p1, q2, p2)[:, None]
+        with pytest.raises(ConfigError, match="shape"):
+            enskog_collision_integral(
+                column, (np.array([0.0]), np.array([0.5])), 0.1,
+                Inelasticity(0.25), mc_budget=1000,
+                rng=np.random.default_rng(0))
+
     def test_elastic_1d_uniform_vanishes_pointwise(self):
         # elastic 1D pre-collision momenta are the swapped pair, so for a
         # spatially uniform product density gain equals loss sample by sample
