@@ -40,10 +40,6 @@ class Inelasticity:
                 f"epsilon must lie in [0, 0.5), got {self.epsilon!r}"
             )
 
-    @property
-    def restitution(self) -> float:
-        return 1.0 - 2.0 * self.epsilon
-
 
 def unit_normal(eta) -> np.ndarray:
     """Validate and return a unit normal vector."""

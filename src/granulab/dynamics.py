@@ -2,7 +2,7 @@
 
 Free flight between collisions, earliest-event scheduling with invalidation
 counters, momentum updates through the single collision algebra in
-:mod:`granulab.core`.  Two engines share the event loop:
+:mod:`granulab.core`.  There are two engines:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
   only neighbours can collide), with lazy per-particle times -- the fast
@@ -11,8 +11,8 @@ counters, momentum updates through the single collision algebra in
   floats and lists (every event is scalar work, which numpy scalars,
   1-element arrays and per-step calls only slow down) that collides, counts,
   logs and re-predicts the three neighbour pairs inline;
-* an all-pairs engine for any dimension, retained as the correctness oracle
-  and used for 3D few-body work.
+* an all-pairs engine for any dimension, the 1D oracle and the 3D engine,
+  which predicts a particle against all its partners in one numpy call.
 
 The inverse-collision flow (free flight backward in time, pre-collision
 momenta at contacts) is exposed through :func:`advance_inverse`; it is the
@@ -24,6 +24,7 @@ import heapq
 import math
 from array import array
 from collections.abc import Sequence
+from itertools import product
 
 import numpy as np
 
@@ -113,6 +114,15 @@ class Simulation:
     exceeds that many events within one unit of time.  ``engine="allpairs"``
     runs the all-pairs engine in 1D, as the oracle of the adjacency engine.
 
+    The all-pairs engine predicts a particle against all its partners in one
+    numpy call, over the 3^d nearest periodic images, with the root
+    t = c / (sqrt(disc/4) - dq.dv) of disc/4 = |dv|^2 sigma^2 - |dq^dv|^2 and
+    c = (|dq| - sigma)(|dq| + sigma), which keeps sigma at any |dq|.  The
+    images hold every contact before H = (1.5 box - sigma) / max_k |dv_k|;
+    past it the particle is predicted afresh.  A contact that overlaps
+    without approaching (the clock no longer resolves it) and a collision
+    with a non-finite energy change raise :class:`EventStormError`.
+
     ``n_events`` counts the collisions applied, ``n_stale_pops`` the heap
     entries discarded because a participant collided after they were
     predicted, and ``n_tc_elastic`` the collisions the TC rule made elastic.
@@ -169,116 +179,112 @@ class Simulation:
         elif self.engine == "allpairs":
             self.x = state.q.copy()
             self.v = p.copy()
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    self._push_pair(i, j)
+            shifts = (0.0,) if self.box is None else (-self.box, 0.0, self.box)
+            self._images = np.array(list(product(shifts, repeat=self.d)))
+            for i in range(self.n - 1):
+                self._predict(i, np.arange(i + 1, self.n))
         else:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     # -- prediction -------------------------------------------------------
 
-    def _push_pair(self, i: int, j: int):
-        tau = max(self.tl[i], self.tl[j])
-        qi = self.x[i] + self.v[i] * (tau - self.tl[i])
-        qj = self.x[j] + self.v[j] * (tau - self.tl[j])
-        dq = qi - qj
-        dv = self.v[i] - self.v[j]
-        candidates = [dq]
-        if self.box is not None:
-            dq = dq - self.box * np.round(dq / self.box)
-            candidates = [dq]
-            if self.d == 1 and dq[0] != 0.0:
-                candidates.append(dq - np.sign(dq) * self.box)
-        best = None
-        a = float(dv @ dv)
-        if a <= _TINY:
-            return
-        for dqc in candidates:
-            b = 2.0 * float(dqc @ dv)
-            if b >= 0.0:
-                continue
-            c = float(dqc @ dqc) - self.sigma**2
-            disc = b * b - 4.0 * a * c
-            if disc < 0.0:
-                continue
-            trel = 0.0 if c < 0.0 else (-b - np.sqrt(disc)) / (2.0 * a)
-            if best is None or trel < best:
-                best = trel
-        if best is not None:
-            heapq.heappush(self.heap, (tau + best, i, j,
-                                       self.cnt[i], self.cnt[j]))
-
-    def _repredict_pairs(self, i, j):
-        for a in range(self.n):
-            if a != i:
-                self._push_pair(*sorted((a, i)))
-            if a != j and a != i:
-                self._push_pair(*sorted((a, j)))
+    def _predict(self, i, partners):
+        """Push the first contact of i with each of ``partners`` (an index
+        array), from i's local time, which no partner's exceeds; the root,
+        the images and the horizon are those of :class:`Simulation`."""
+        tau, v, sigma, box = self.tl[i], self.v, self.sigma, self.box
+        dv = v[i] - v[partners]
+        lag = tau - np.take(self.tl, partners)  # partners' flight up to tau
+        dq = self.x[i] - (self.x[partners] + v[partners] * lag[:, None])
+        horizon = np.full(len(partners), np.inf)
+        if box is not None:
+            dq -= box * np.round(dq / box)
+            vmax = np.abs(dv).max(axis=1)
+            np.divide(1.5 * box - sigma, vmax, out=horizon, where=vmax > 0.0)
+        dq = dq[:, None, :] + self._images  # (partner, image, axis)
+        dv = dv[:, None, :]
+        b = np.sum(dq * dv, axis=-1)
+        w = dq[..., :, None] * dv[..., None, :]  # |dq^dv|^2 from components
+        disc = (np.sum(dv * dv, axis=-1) * sigma**2
+                - 0.5 * np.sum((w - np.swapaxes(w, -1, -2))**2, axis=(-2, -1)))
+        r = np.sqrt(np.sum(dq * dq, axis=-1))
+        t = np.full(b.shape, np.inf)
+        np.divide((r - sigma) * (r + sigma), np.sqrt(np.maximum(disc, 0.0)) - b,
+                  out=t, where=(b < 0.0) & (disc >= 0.0))
+        t = np.maximum(t, 0.0).min(axis=1)  # an overlapping pair meets now
+        hit, cnt = (t < np.inf) & (t <= horizon), self.cnt
+        for k, tk in zip(partners[hit].tolist(), t[hit].tolist()):
+            lo, hi = (i, k) if i < k else (k, i)
+            heapq.heappush(self.heap, (tau + tk, lo, hi, cnt[lo], cnt[hi]))
+        late = horizon[t > horizon]
+        if late.size:
+            heapq.heappush(self.heap, (tau + float(late.min()), i, i, cnt[i],
+                                       cnt[i]))
 
     # -- event processing -------------------------------------------------
 
     def _collide_pair(self, t_ev, i, j):
-        # advance the two participants to the event time
-        self.x[i] = self.x[i] + self.v[i] * (t_ev - self.tl[i])
-        self.x[j] = self.x[j] + self.v[j] * (t_ev - self.tl[j])
-        self.tl[i] = self.tl[j] = t_ev
-
+        """Collide i and j at t_ev (TC rule, collision map, counters, storm
+        guard, log row); False for a grazing contact."""
+        x, v, tl, last = self.x, self.v, self.tl, self._last_event
+        x[i] += v[i] * (t_ev - tl[i])
+        x[j] += v[j] * (t_ev - tl[j])
+        tl[i] = tl[j] = t_ev
         # unit normal from j's center to i's center at contact
-        dq = self.x[i] - self.x[j]
+        dq = x[i] - x[j]
         if self.box is not None:
-            dq = dq - self.box * np.round(dq / self.box)
-        eta_geom = dq / np.linalg.norm(dq)
-        # with eta pointing j -> i an approaching pair has <eta, v_i - v_j> <= 0;
-        # negate so the algebra's approach condition holds
-        eta = -eta_geom
-        vi = np.atleast_1d(self.v[i]).astype(float)
-        vj = np.atleast_1d(self.v[j]).astype(float)
+            dq -= self.box * np.round(dq / self.box)
+        r = np.linalg.norm(dq)
+        # with the normal pointing j -> i an approaching pair has
+        # <eta, v_i - v_j> <= 0; negate so the algebra's condition holds
+        eta = -(dq / r)
+        vi, vj = v[i], v[j]  # rows, read before they are overwritten
         g_n = float(eta @ (vi - vj))
-        if g_n <= 0.0:
-            return False  # grazing or stale geometry: no collision
-
-        eps = Inelasticity(self._epsilon(t_ev, i, j))
-        if self.rule == "forward":
-            vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
-        else:
-            vi2, vj2 = core.precollide(vi, vj, eta, eps)
-        dE = 0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj)
-        self.v[i] = vi2
-        self.v[j] = vj2
-        self._count(t_ev, i, j)
-        if self.log is not None:
-            self.log.append(t_ev, i, j, eta, g_n, float(dE))
-        return True
-
-    def _epsilon(self, t_ev, i, j) -> float:
-        """Inelasticity of a collision at t_ev: 0 under the TC rule."""
-        last = self._last_event
+        if g_n <= 0.0:  # grazing, or a contact the clock no longer resolves
+            if r < self.sigma * (1.0 - _OVERLAP_SLACK):
+                raise self._overflow_error(i, j, t_ev)
+            return False
         tc = self.tc_threshold
         elastic = tc is not None and (t_ev - last[i] < tc
                                       or t_ev - last[j] < tc)
         last[i] = last[j] = t_ev
         self.n_tc_elastic += elastic
-        return 0.0 if elastic else self.eps.epsilon
-
-    def _count(self, t_ev, i, j):
-        """Count a collision of i and j; abort on an event storm."""
-        self.cnt[i] += 1
-        self.cnt[j] += 1
+        eps = Inelasticity(0.0 if elastic else self.eps.epsilon)
+        if self.rule == "forward":
+            vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
+        else:
+            vi2, vj2 = core.precollide(vi, vj, eta, eps)
+        dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
+        if not math.isfinite(dE):
+            raise self._overflow_error(i, j, t_ev)
+        v[i] = vi2
+        v[j] = vj2
         self.n_events += 1
-        storm_t0, storm_cnt = self._storm_t0, self._storm_cnt
         for k in (i, j):
-            if t_ev - storm_t0[k] >= 1.0:
-                storm_t0[k] = t_ev
-                storm_cnt[k] = 0
-            storm_cnt[k] += 1
-            if storm_cnt[k] > self.storm_limit:
+            self.cnt[k] += 1
+            if t_ev - self._storm_t0[k] >= 1.0:
+                self._storm_t0[k] = t_ev
+                self._storm_cnt[k] = 0
+            self._storm_cnt[k] += 1
+            if self._storm_cnt[k] > self.storm_limit:
                 raise self._storm_error(k, t_ev)
+        if self.log is not None:
+            self.log.append(t_ev, i, j, eta, g_n, dE)
+        return True
 
     def _storm_error(self, k, t_ev) -> EventStormError:
         return EventStormError(
             f"particle {k}: more than {self.storm_limit:g} events within "
-            f"unit time at t={t_ev:.6g}; likely inelastic collapse "
-            "(consider tc_threshold)")
+            f"unit time at t={t_ev:.6g}; likely inelastic collapse"
+            + (" (consider tc_threshold)" if self.rule == "forward" else ""))
+
+    def _overflow_error(self, i, j, t_ev) -> EventStormError:
+        return EventStormError(
+            f"particles {i} and {j}: momenta or kinetic energy overflow, or "
+            f"contacts closer than the clock resolves, at t={t_ev:.6g}" + (
+                "; the inverse flow multiplies the normal relative speed by "
+                f"1/(1-2*eps) = {1.0 / (1.0 - 2.0 * self.eps.epsilon):g} at "
+                "every contact" if self.rule == "inverse" else ""))
 
     def run(self, dt: float | None = None, max_events: int | None = None):
         """Process events until time t+dt (and/or an event budget) is reached.
@@ -289,8 +295,10 @@ class Simulation:
         always a configuration the flow actually reaches.  Returns the
         number of collisions processed in this call.
         """
-        if dt is None and max_events is None:
-            raise ValueError("provide dt and/or max_events")
+        if dt is None and (max_events is None
+                           or self.d > 1 and self.box is not None):
+            raise ValueError("provide dt and/or max_events; a periodic run "
+                             "in d > 1 needs dt, as its re-checks never end")
         t_end = math.inf if dt is None else self.t + dt
         if dt is not None and dt < 0:
             raise ValueError("dt must be nonnegative")
@@ -363,12 +371,7 @@ class Simulation:
                 last[i] = last[j] = t_ev
                 vi, vj, dE = collide_rods(vi, vj, e, inverse)
                 if inverse and not isfinite(dE):
-                    raise EventStormError(
-                        f"particles {order[i]} and {order[j]}: momenta or "
-                        f"kinetic energy overflow at t={t_ev:.6g}; the inverse "
-                        "flow multiplies the normal relative speed by "
-                        f"1/(1-2*eps) = {1.0 / (1.0 - 2.0 * eps):g} at every "
-                        "contact")
+                    raise self._overflow_error(order[i], order[j], t_ev)
                 v[i] = vi
                 v[j] = vj
                 cnt[i] += 1
@@ -443,7 +446,7 @@ class Simulation:
     def _run_pairs(self, t_end, budget):
         """The all-pairs event loop; returns what :meth:`_run_adjacent`
         does."""
-        heap, cnt = self.heap, self.cnt
+        heap, cnt, everyone = self.heap, self.cnt, np.arange(self.n)
         processed = 0
         t_last = None  # time of the last event popped and applied
         stopped = False
@@ -460,9 +463,15 @@ class Simulation:
                 break
             heapq.heappop(heap)
             t_last = t_ev
-            if self._collide_pair(t_ev, i, j):
+            if i == j:  # horizon re-check: predict i afresh from t_ev
+                self.x[i] += self.v[i] * (t_ev - self.tl[i])
+                self.tl[i] = t_ev
+                cnt[i] += 1
+                self._predict(i, everyone[everyone != i])
+            elif self._collide_pair(t_ev, i, j):
                 processed += 1
-                self._repredict_pairs(i, j)
+                self._predict(i, everyone[everyone != i])
+                self._predict(j, everyone[(everyone != i) & (everyone != j)])
         return processed, t_last, stopped
 
     def state(self) -> SystemState:

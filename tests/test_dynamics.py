@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,6 @@ class TestPairCollisionTime:
         for engine in ("adjacent", "allpairs"):
             assert first_contact(s, engine) == pytest.approx(0.15 / 2)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(a)")
     def test_periodic_wraparound_3d(self):
         # the pair recedes in the minimum image (1.5 apart) but meets across
         # the wrap: gap 4 - 1.5 - 0.2 closing at speed 2
@@ -90,6 +91,28 @@ class TestPairCollisionTime:
         log = TrajectoryLog()
         advance(s, 2.0, log=log)
         assert log.n_events > 0 and log.events[0].t == pytest.approx(1.15)
+
+    def test_contact_beyond_nearest_images(self):
+        # fast x motion with a slow y drift: the pair first meets some fifty
+        # boxes away in x, far beyond the 27 nearest images, so it is found
+        # only through the horizon re-checks
+        q = np.array([[0.47, 0.25, 0.5], [0.1, 0.75, 0.5]])
+        p = np.array([[2.5, 0.015, 0.0], [-2.5, -0.015, 0.0]])
+        sigma, box = 0.2, 1.0
+        s = SystemState(q, p, sigma=sigma, eps=Inelasticity(0.0), box=box)
+        log = TrajectoryLog()
+        evolve(s, 12.0, log=log)
+        # direct scan of images: dq(t) = dq + m*box + dv*t touches sigma
+        dq, dv = q[0] - q[1], p[0] - p[1]
+        a, scan = dv @ dv, []
+        for m in itertools.product(range(-70, 5), (-1, 0, 1), (-1, 0, 1)):
+            dqm = dq + box * np.array(m)
+            b, c = dqm @ dv, dqm @ dqm - sigma**2
+            if b < 0 and b * b - a * c >= 0:
+                scan.append((-b - np.sqrt(b * b - a * c)) / a)
+        assert 10.0 < min(scan) < 12.0
+        assert log.n_events > 0
+        assert log.events[0].t == pytest.approx(min(scan), rel=1e-12)
 
 
 class TestAdvance:
@@ -120,6 +143,36 @@ class TestAdvance:
         b = evolve(s, 0.5, engine="allpairs")
         np.testing.assert_allclose(a.q, b.q, atol=1e-9)
         np.testing.assert_allclose(a.p, b.p, atol=1e-9)
+
+    @pytest.mark.parametrize("box", [None, 1.0], ids=["line", "ring"])
+    def test_allpairs_oracle_keeps_small_sigma(self, box):
+        # sigma far below the rounding of |dq|^2 must survive the prediction
+        for sigma in (1e-3, 1e-6, 1e-9, 1e-12):
+            rng = np.random.default_rng(5)
+            s = sample_chaotic_state(12, UniformMaxwellian(length=1.0), sigma,
+                                     Inelasticity(0.2), box=box, rng=rng)
+            a = Simulation(s, engine="adjacent")
+            b = Simulation(s, engine="allpairs")
+            a.run(dt=1.0)
+            b.run(dt=1.0)
+            assert a.n_events == b.n_events > 10
+            np.testing.assert_allclose(a.state().q, b.state().q, atol=1e-9)
+            np.testing.assert_allclose(a.state().p, b.state().p, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_periodic_3d_spheres_never_overlap(self, seed):
+        rng = np.random.default_rng(seed)
+        s = sample_chaotic_state(12, UniformMaxwellian(d=3, length=1.2), 0.2,
+                                 Inelasticity(0.1), box=1.2, rng=rng)
+        sim = Simulation(s, tc_threshold=1e-6)
+        scale = np.abs(s.p).sum()
+        for _ in range(1000):
+            sim.run(dt=0.005)
+            out = sim.state()
+            assert out.min_separation() >= s.sigma * (1 - 1e-9)
+            drift = np.abs(out.total_momentum() - s.total_momentum()).max()
+            assert drift <= 1e-12 * scale
+        assert sim.n_events > 20
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(21)
@@ -186,6 +239,17 @@ class TestAdvance:
         assert np.all(np.isfinite(out.p))
         assert out.min_separation() >= s.sigma * (1 - 1e-9)
 
+    def test_periodic_run_needs_dt(self):
+        # a pair moving along a lattice axis, offset by more than sigma,
+        # never meets: its horizon re-checks would keep a budget-only run
+        # going forever
+        q = np.array([[0.1, 0.1, 0.1], [0.1, 0.6, 0.6]])
+        p = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
+        sim = Simulation(SystemState(q, p, 0.2, Inelasticity(0.0), 1.0))
+        with pytest.raises(ValueError, match="needs dt"):
+            sim.run(max_events=1)
+        assert sim.run(dt=100.0) == 0 and sim.t == 100.0
+
     def test_event_budget_stops_clock_at_last_event(self):
         # contacts before t+dt are still pending when the budget runs out,
         # so the clock may not move past the last event processed
@@ -239,6 +303,17 @@ class TestInverseFlow:
             Simulation(two_rods(eps=0.25), rule="inverse", engine=engine,
                        tc_threshold=1e-9)
         Simulation(two_rods(eps=0.25), engine=engine, tc_threshold=1e-9)
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_storm_hint_fits_rule(self, engine):
+        # only the forward flow has a TC rule to suggest
+        fwd = two_rods(eps=0.25)
+        back = SystemState(fwd.q, -fwd.p, fwd.sigma, fwd.eps)
+        for s, rule in ((fwd, "forward"), (back, "inverse")):
+            sim = Simulation(s, rule=rule, engine=engine, storm_limit=0)
+            with pytest.raises(EventStormError, match="collapse") as err:
+                sim.run(dt=1.0)
+            assert ("tc_threshold" in str(err.value)) == (rule == "forward")
 
 
 class TestEvolveObservable:
@@ -689,12 +764,15 @@ class TestInverseOverflow:
     def test_two_rod_ring(self):
         s = SystemState(np.array([[0.2], [0.6]]), np.array([[0.5], [-0.5]]),
                         0.02, Inelasticity(0.25), 1.0)
-        log = TrajectoryLog()
-        sim = Simulation(s, log=log, rule="inverse")
-        with pytest.raises(EventStormError, match=r"1/\(1-2\*eps\) = 2 "):
-            sim.run(dt=3.0)
-        assert 0 < sim.n_events == len(log.t) <= 1025
-        assert all(np.isfinite(column).all() for column in _log_columns(log))
+        for engine in ("adjacent", "allpairs"):
+            log = TrajectoryLog()
+            sim = Simulation(s, log=log, rule="inverse", engine=engine)
+            with pytest.raises(EventStormError,
+                               match=r"1/\(1-2\*eps\) = 2 "):
+                sim.run(dt=3.0)
+            assert 0 < sim.n_events == len(log.t) <= 1025
+            assert all(np.isfinite(column).all()
+                       for column in _log_columns(log))
 
     @pytest.mark.parametrize("n, box, eps, rule, tc", OVERFLOWING_CASES)
     def test_pinned_rings(self, n, box, eps, rule, tc):

@@ -14,14 +14,19 @@ PACKAGE = sorted((ROOT / "src" / "granulab").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
-def test_trace_targets_exist():
-    # perfbench/tracing.py wraps owner.__dict__[attr]; a missing attribute
-    # would only surface as a KeyError in `perfbench/run.py --trace 1`
+def trace_targets():
+    """(owner, attribute, span name) of every function perfbench traces."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    missing = [name for owner, attr, name in tracing._targets()
+    return tracing._targets()
+
+
+def test_trace_targets_exist():
+    # perfbench/tracing.py wraps owner.__dict__[attr]; a missing attribute
+    # would only surface as a KeyError in `perfbench/run.py --trace 1`
+    missing = [name for owner, attr, name in trace_targets()
                if attr not in owner.__dict__]
     assert missing == []
 
@@ -30,6 +35,17 @@ def test_public_names_resolve():
     missing = [name for name in granulab.__all__
                if not hasattr(granulab, name)]
     assert missing == []
+
+
+def all_entries(tree):
+    """The names a module lists in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str):
@@ -44,11 +60,7 @@ def unused_imports(source: str):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used |= all_entries(tree)
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -76,9 +88,9 @@ def public_defs(tree):
 
 
 def referenced_names(tree):
-    """Names a module reads, imports, takes as an attribute or spells as a
-    string (``getattr`` targets, ``__all__``)."""
-    names = set()
+    """Names a module reads, imports, takes as an attribute or lists in
+    ``__all__``; any other string (a dict key, say) is no reference."""
+    names = all_entries(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -86,8 +98,6 @@ def referenced_names(tree):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
     return names
 
 
@@ -106,14 +116,24 @@ def test_scanner_finds_test_only_name():
     assert unreferenced_public_names([lib], [lib, caller], []) == ["spare"]
     assert unreferenced_public_names([lib], [lib], ["A", "helper"]) == [
         "spare", "used"]
+    listed = "__all__ = ['A', 'spare']\n"
+    assert unreferenced_public_names([lib], [lib, listed], []) == [
+        "helper", "used"]
+
+
+def test_scanner_ignores_dict_keys():
+    lib = "class A:\n    def spare(self): pass\n"
+    caller = "worst = {'spare': 0.0}\nworst['spare'] += 1.0\n"
+    assert unreferenced_public_names([lib], [lib, caller], ["A"]) == ["spare"]
 
 
 def test_no_test_only_names():
     package = [path.read_text() for path in PACKAGE]
     callers = package + [path.read_text()
                          for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    traced = [attr for _, attr, _ in trace_targets()]
     assert unreferenced_public_names(package, callers,
-                                     granulab.__all__) == []
+                                     granulab.__all__ + traced) == []
 
 
 def defaulted_options(tree):
