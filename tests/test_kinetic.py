@@ -321,8 +321,23 @@ class TestDsmcGolden:
              "460024e3b252925edda354dafa09fb23973ea7476efd6a5f2bcd106375fae670",
              "4ef6b0c4f1b90b0022e4c7581bcec4d67dff6f53c15ee2596df5b599a3c033de",
              "750ef4f310ce2db4ed3c5db59bb0c5d96fd5cfbe64e477f779f7361aa68d3472"),
+            # n_cells << bit_length(n - 1) = 2**31: a by-cell key of the
+            # cell and the sample index needs more than 32 bits
+            (49, 131072, 16384, 0.25, 10, 0.5,
+             "9ea138d3fbf7c460f6a763013eb5c10079116e5bdf21470ef9c95e46f0b95f77",
+             "577bf5d62a5e123c164f9c8dd5c61020564a47696a2b500f39de180f8e0663f9",
+             "e0c461cc198c12c5623cd4072ddb76b2b8f1880ce1438852b6989283fa97cd9b"),
+            (50, 100003, 16384, 0.25, 5, 0.5,
+             "6bbf41e16b53ef63b90bc2f648e57b9fbe64583e7b93f4b36ede2c7a78903047",
+             "076371e552cf3e34b29414c49af634ad60b8a362768c1c51814fe4bacb1329d3",
+             "e181f2b5e889208e5474406431e614cd6ddd2abdef219bb72448cf2204f508d7"),
+            (51, 4097, 7, 0.25, 20, 0.5,
+             "581852e3ee1c44d5594e69069de91be308aab8204a9a9b88e980c47507d5146f",
+             "48a8c38c04bc87ac06a083d458a2eacd54e391d796b30360c7253df0d091de3d",
+             "0840d1e9131dd41911a236d8e5efbb42fc922bf83a430946c3fa01c8883296c1"),
         ], ids=["cells64", "cells8", "one_cell", "elastic", "sparse",
-                "few_per_cell", "near_guard"])
+                "few_per_cell", "near_guard", "wide_key", "wide_key_odd_n",
+                "pow2_plus_one"])
     def test_digests(self, seed, n, cells, eps, steps, safety, q_digest,
                      p_digest, dt_digest):
         rng = np.random.default_rng(seed)
