@@ -162,34 +162,32 @@ def dsmc_moments(state: DsmcState):
             0.5 * w * float(state.p @ state.p), granular_temperature(state))
 
 
-def _cell_index(q, length: float, n_cells: int) -> np.ndarray:
-    """Cell of each position; positions outside [0, length) fall in the
-    nearest end cell.  The result is int16 when ``n_cells`` allows, since a
-    stable sort of an int16 key takes numpy's radix path."""
-    x = q / (length / n_cells)
-    np.clip(x, 0, n_cells - 1, out=x)
-    return x.astype(np.int16 if n_cells <= np.iinfo(np.int16).max
-                    else np.intp)
-
-
 def _by_cell(q, length: float, n_cells: int):
-    """Stable by-cell order of the samples, the sample count of each cell
-    and the position in that order where each cell starts."""
-    cells = _cell_index(q, length, n_cells)
-    counts = np.bincount(cells, minlength=n_cells)
-    return (np.argsort(cells, kind="stable"), counts,
-            np.cumsum(counts) - counts)
+    """Stable by-cell order of the samples as intp (``take`` converts other
+    index types), each cell's sample count and its start in that order;
+    positions outside [0, length) fall in the nearest end cell.  One sort
+    of the unique keys ``cell << b | index`` (b the bit length of n - 1)
+    gives the order: int32 when ``n_cells << b`` fits, else int64."""
+    b = max(q.size - 1, 0).bit_length()
+    key_type = np.int32 if n_cells << b <= np.iinfo(np.int32).max else np.int64
+    x = q / (length / n_cells)
+    key = np.clip(x, 0, n_cells - 1, out=x).astype(key_type)
+    key <<= b
+    key |= np.arange(q.size, dtype=key_type)
+    key.sort()
+    starts = np.searchsorted(key, np.arange(n_cells + 1, dtype=key_type) << b)
+    order = np.bitwise_and(key, (1 << b) - 1, dtype=np.intp)
+    return order, np.diff(starts), starts[:-1]
 
 
 def _spans(p, order, counts, starts):
     """Momentum span max p - min p of each cell from its run of the by-cell
     order; the span is 0 in cells with fewer than two samples."""
     filled = np.flatnonzero(counts)
-    p_sorted = p[order]
+    p_sorted = p.take(order)
     span = np.zeros(counts.size)
     span[filled] = (np.maximum.reduceat(p_sorted, starts[filled])
                     - np.minimum.reduceat(p_sorted, starts[filled]))
-    span[counts < 2] = 0.0
     return span
 
 
@@ -204,8 +202,10 @@ def dsmc_step(state: DsmcState, dt: float,
     Candidate pairs per cell follow the majorant rate with
     v_max = max p - min p in the cell; acceptance is |dp| / v_max and
     accepted pairs get post-collision momenta from the inelastic collision
-    rule.  The samples are sorted by cell once (a stable sort), and the
-    spans are reduced over each cell's run of that order.
+    rule.  The samples are ordered by cell, and by index within a cell,
+    with one sort of integer keys (:func:`_by_cell`), and the spans are
+    reduced over each cell's run of that order.  At dt > 0 a non-finite
+    position or momentum raises :class:`ConfigError` before any draw.
 
     The dt guard is checked for every cell before any random number is
     drawn: if a per-particle collision probability reaches 0.2, the step
@@ -228,7 +228,10 @@ def dsmc_step(state: DsmcState, dt: float,
         raise ConfigError("dt must be finite and nonnegative")
     if dt == 0.0:
         return replace(state.copy(), time=state.time + dt)
-    q = state.q + state.p * dt
+    q = state.p * dt
+    q += state.q
+    if not np.isfinite(q).all():
+        raise ConfigError("positions and momenta must be finite")
     wrap = np.flatnonzero(np.signbit(q) | (q >= state.length))
     q[wrap] = np.mod(q[wrap], state.length)
     q.flags.writeable = False
@@ -319,6 +322,8 @@ def suggest_dt(state: DsmcState, safety: float = 0.5) -> float:
             and c[1:3] == (state.length, state.n_cells)):
         order, counts, starts = c[3:]
     else:  # not made by a step, or its positions were replaced since
+        if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
+            raise ConfigError("positions and momenta must be finite")
         order, counts, starts = _by_cell(state.q, state.length, state.n_cells)
     vmax = _spans(state.p, order, counts, starts)
     worst = float(np.max(state.weight / cell_len * (counts - 1) * vmax))

@@ -14,6 +14,7 @@ from granulab.kinetic import (
     granular_temperature,
     maxwellian_product_f2,
     solve_limit_equation,
+    _by_cell,
     _collide_in_rounds,
     suggest_dt,
 )
@@ -276,11 +277,84 @@ class TestDsmc:
         _collide_in_rounds(got, a, b, u, vmax, 0.75)
         np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("q0, p0", [(np.nan, 0.3), (0.5, np.nan),
+                                        (0.5, np.inf)],
+                             ids=["nan_q", "nan_p", "inf_p"])
+    def test_non_finite_samples_rejected(self, q0, p0):
+        rng = np.random.default_rng(16)
+        q, p = rng.random(50), rng.normal(size=50)
+        q[7], p[7] = q0, p0
+        state = DsmcState(q, p, 1.0, 4, Inelasticity(0.25), weight=0.02)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="finite"):
+            suggest_dt(state)
+        with pytest.raises(ConfigError, match="finite"):
+            dsmc_step(state, 0.01, rng)
+        assert rng.bit_generator.state == before
+        assert state.time == 0.0
+        np.testing.assert_array_equal(state.q, q)
+        np.testing.assert_array_equal(state.p, p)
+
     def test_temperature_degenerate(self):
         state = DsmcState(np.array([0.5]), np.array([0.0]), 1.0, 1,
                           Inelasticity(0.0), weight=1.0)
         with pytest.raises(ConfigError):
             granular_temperature(state)
+
+
+def stable_argsort_by_cell(q, length, n_cells):
+    """By-cell order, counts and starts from a stable argsort of the cells."""
+    x = q / (length / n_cells)
+    np.clip(x, 0, n_cells - 1, out=x)
+    cells = x.astype(np.intp)
+    counts = np.bincount(cells, minlength=n_cells)
+    return (np.argsort(cells, kind="stable"), counts,
+            np.cumsum(counts) - counts)
+
+
+class TestByCell:
+    """The one-sort by-cell order equals a stable argsort of the cells."""
+
+    def check(self, q, length, n_cells):
+        got = _by_cell(np.asarray(q, dtype=float), length, n_cells)
+        expect = stable_argsort_by_cell(np.asarray(q, dtype=float), length,
+                                        n_cells)
+        for g, e in zip(got, expect):
+            np.testing.assert_array_equal(g, e)
+        return got
+
+    def test_two_samples(self):
+        self.check([0.7, 0.2], 1.0, 4)
+        self.check([0.2, 0.2], 1.0, 4)
+
+    def test_one_cell(self):
+        self.check(np.random.default_rng(17).random(1001), 1.0, 1)
+
+    def test_mostly_empty_cells(self):
+        self.check(np.random.default_rng(18).random(5) * 3.0, 3.0, 1000)
+
+    @pytest.mark.parametrize("length, n_cells", [(1.0, 4), (3.0, 7),
+                                                 (0.1, 10)])
+    def test_edge_positions(self, length, n_cells):
+        ulp_below = np.nextafter(length, 0.0)
+        q = [ulp_below, -0.0, 0.0, 0.5 * length, ulp_below, 0.0, -0.0]
+        order, counts, _ = self.check(q, length, n_cells)
+        assert counts[0] == 4 and counts[-1] == 2
+
+    def test_outside_positions_clip_to_end_cells(self):
+        q = [-0.5, 1.5, 0.3, 1e300, -1e300, 1.0, -1e-300, 0.99]
+        state = DsmcState(q, np.zeros(8), 1.0, 5, Inelasticity(0.25),
+                          weight=0.1)
+        _, counts, _ = self.check(state.q, state.length, state.n_cells)
+        np.testing.assert_array_equal(counts, [3, 1, 0, 0, 4])
+
+    @pytest.mark.parametrize("n_cells", [16383, 16384])
+    def test_key_width_around_2_pow_31(self, n_cells):
+        # 2**17 samples: b = 17, so n_cells << b is 2**31 - 2**17 (int32
+        # keys) or 2**31 (int64 keys)
+        q = np.random.default_rng(19).random(2 ** 17)
+        q[:3] = [0.0, np.nextafter(1.0, 0.0), 0.5]
+        self.check(q, 1.0, n_cells)
 
 
 class TestDsmcGolden:
