@@ -316,9 +316,9 @@ class TestByCell:
     """The one-sort by-cell order equals a stable argsort of the cells."""
 
     def check(self, q, length, n_cells):
-        got = _by_cell(np.asarray(q, dtype=float), length, n_cells)
-        expect = stable_argsort_by_cell(np.asarray(q, dtype=float), length,
-                                        n_cells)
+        q = np.asarray(q, dtype=float)
+        got = _by_cell(q, length, n_cells)
+        expect = stable_argsort_by_cell(q, length, n_cells)
         for g, e in zip(got, expect):
             np.testing.assert_array_equal(g, e)
         return got
@@ -338,7 +338,7 @@ class TestByCell:
     def test_edge_positions(self, length, n_cells):
         ulp_below = np.nextafter(length, 0.0)
         q = [ulp_below, -0.0, 0.0, 0.5 * length, ulp_below, 0.0, -0.0]
-        order, counts, _ = self.check(q, length, n_cells)
+        _, counts, _ = self.check(q, length, n_cells)
         assert counts[0] == 4 and counts[-1] == 2
 
     def test_outside_positions_clip_to_end_cells(self):
