@@ -366,6 +366,13 @@ PINS_duality_grid = [
     (3, 0.25, 2.0, ("0x1.9019652bd3c36p-57", "0x1.6d848937515cep-46")),
 ]
 
+# (n, float.hex of (residual, stderr)) at mc_samples=3*8192+17, eps=0.25,
+# t=2, seed 7: sample counts that span several row blocks of 8192
+PINS_duality_blocks = [
+    (3, ("-0x1.3428c372b9049p-60", "0x1.6bfc92968a107p-46")),
+    (4, ("-0x1.2a1fdfb0636e6p-56", "0x1.8620b1f1b30dcp-46")),
+]
+
 GOLDEN_CUMULANTS = {
     # name: (_rods arguments, observable, apply_cumulant keywords,
     #        float.hex of the value at orders 0..6)
@@ -414,6 +421,14 @@ class TestGoldenPartitionSums:
         res, err = duality_residual(lambda q, p: 0.5 * p * p,
                                     UniformMaxwellian(length=1.0), t, n,
                                     10_000, 0.02, Inelasticity(eps), seed=7)
+        assert hex_floats(res, err) == pins
+
+    @pytest.mark.parametrize("n, pins", PINS_duality_blocks)
+    def test_duality_residual_blocks(self, n, pins):
+        res, err = duality_residual(lambda q, p: 0.5 * p * p,
+                                    UniformMaxwellian(length=1.0), 2.0, n,
+                                    3 * 8192 + 17, 0.02, Inelasticity(0.25),
+                                    seed=7)
         assert hex_floats(res, err) == pins
 
     def test_each_block_evolves_once(self, monkeypatch):
