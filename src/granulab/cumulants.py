@@ -33,6 +33,8 @@ CLUSTER = 0
 
 _MAX_ORDER = 6
 
+_ROW_BLOCK = 8192  # duality samples per block: a working set malloc reuses
+
 
 @dataclass(frozen=True)
 class PartitionTerm:
@@ -99,29 +101,46 @@ def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
 
     ``q``/``p`` hold ``cluster_size + n`` particles: the distinguished
     cluster first, then the adjoined singletons.  Each distinct block
-    evolves once, isolated, for time ``t``; each partition term writes its
-    blocks' results into a copy of (q, p) and reads ``b(q, p)`` off it.
+    evolves once, isolated, for time ``t``; one gather from the stack of
+    (q, p) and the block results assembles every partition term's
+    configuration, and ``b`` reads each off its row of the gather.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-
-    def evolve(block):
+    blocks, table = _term_table(n, cluster_size, len(q))
+    qs, ps = [q], [p]
+    for idx in blocks:
         # a block reads only its own initial points: one result for all terms
-        idx = np.array([j for el in block
-                        for j in _element_particles(el, cluster_size)])
-        if t == 0.0:
-            return idx, q[idx], p[idx]
-        out = advance(SystemState(q[idx], p[idx], sigma, eps, box), t)
-        return idx, out.q, out.p
-
+        qb, pb = q[idx], p[idx]
+        if t != 0.0:
+            out = advance(SystemState(qb, pb, sigma, eps, box), t)
+            qb, pb = out.q, out.p
+        qs.append(qb)
+        ps.append(pb)
+    qq, pp = np.concatenate(qs)[table], np.concatenate(ps)[table]
     total = 0.0
-    for c, blocks in _evolved_terms(enumerate_cumulant_terms(n), evolve, {}):
-        qq, pp = q.copy(), p.copy()
-        for idx, qb, pb in blocks:
-            qq[idx] = qb
-            pp[idx] = pb
-        total += c * float(b(qq, pp))
+    for term, qk, pk in zip(enumerate_cumulant_terms(n), qq, pp):
+        total += term.coefficient * float(b(qk, pk))
     return total
+
+
+@functools.cache
+def _term_table(n: int, cluster_size: int, rows: int):
+    """The particle indices of the distinct blocks of the order-n terms, in
+    first-use order, and the (terms, rows) table of each term's row of every
+    particle in the stack [q; block results...]."""
+    terms = enumerate_cumulant_terms(n)
+    table = np.tile(np.arange(rows), (len(terms), 1))
+    first, top = {}, rows  # block -> (particle indices, stack offset)
+    for k, term in enumerate(terms):
+        for block in term.blocks:
+            if block not in first:
+                first[block] = np.array([j for el in block for j in
+                                         _element_particles(el, cluster_size)]), top
+                top += len(first[block][0])
+            idx, offset = first[block]
+            table[k, idx] = np.arange(offset, offset + len(idx))
+    return [idx for idx, _ in first.values()], table
 
 
 # -- scattering cumulants --------------------------------------------------
@@ -327,9 +346,10 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     contain it as a block.  Positions are drawn on [0, ``f1_sampler.length``)
     and momenta from a Gaussian of variance ``f1_sampler.temperature``.
     ``b1(q, p)`` must act elementwise on arrays of scalar 1D
-    positions/momenta.  Returns (residual, stderr); the stderr
-    carries a floor so the z-score is well defined when the coupled
-    estimator is exact to rounding.
+    positions/momenta, which lets the samples run in blocks of
+    ``_ROW_BLOCK`` rows with every bit independent of the block size.
+    Returns (residual, stderr); the stderr carries a floor so the z-score
+    is well defined when the coupled estimator is exact to rounding.
     """
     if n_particles < 2:
         raise ConfigError("duality harness needs n_particles >= 2")
@@ -340,27 +360,29 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
         raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
     q = _gap_positions(m, n, length, sigma, rng)
     p = rng.normal(0.0, np.sqrt(f1_sampler.temperature), size=(m, n))
-    q, p = q.T.copy(), p.T.copy()  # one contiguous row per particle
 
     def evolve(block):
         # b1 of each particle of the block when the block evolves in isolation
         cols = list(block)
         if len(cols) == 1:  # free flight
-            return [b1(q[cols[0]] + p[cols[0]] * t, p[cols[0]])]
-        qf, pf, _ = evolve_rods_ensemble(q[cols].T, p[cols].T, t, sigma, eps)
+            return [b1(qb[cols[0]] + pb[cols[0]] * t, pb[cols[0]])]
+        qf, pf, _ = evolve_rods_ensemble(qb[cols].T, pb[cols].T, t, sigma, eps)
         return [b1(qf[:, k], pf[:, k]) for k in range(len(cols))]
 
     # every nonempty subset, in bitmask order, with its partition terms
-    terms = (term for mask in range(1, 1 << n) for term in
-             _cumulant_terms([j for j in range(n) if mask >> j & 1]))
-    bvals = {}
-    lhs = np.zeros(m)
-    term = np.empty(m)
-    for coeff, blocks in _evolved_terms(terms, evolve, bvals):
-        for vals in blocks:
-            for v in vals:
-                lhs += np.multiply(coeff, v, out=term)
-    rhs = sum(bvals[tuple(range(n))])
+    terms = [term for mask in range(1, 1 << n) for term in
+             _cumulant_terms([j for j in range(n) if mask >> j & 1])]
+    lhs, rhs = np.zeros(m), np.empty(m)
+    for s in range(0, m, _ROW_BLOCK):
+        rows = slice(s, s + _ROW_BLOCK)
+        # the block's samples, one contiguous row per particle
+        qb, pb = q[rows].T.copy(), p[rows].T.copy()
+        bvals, out, term = {}, lhs[rows], np.empty(min(m - s, _ROW_BLOCK))
+        for coeff, blocks in _evolved_terms(terms, evolve, bvals):
+            for vals in blocks:
+                for v in vals:
+                    out += np.multiply(coeff, v, out=term)
+        rhs[rows] = sum(bvals[tuple(range(n))])
 
     res = lhs - rhs
     mean = float(res.mean())

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import granulab.cumulants as cm
 from granulab.core import Inelasticity, UniformMaxwellian, _gap_positions
 from granulab.cumulants import (
     apply_cumulant,
@@ -445,3 +448,32 @@ class TestGoldenPartitionSums:
         q, p = _rods(11, 7, 2.0)
         apply_cumulant(6, 1.0, energy, q, p, 0.1, Inelasticity(0.25))
         assert len(calls) <= 127
+
+
+class TestDualityRowBlocks:
+    """``duality_residual`` evaluates its samples in blocks of
+    ``_ROW_BLOCK`` rows.  Each sample's arithmetic is its own, so any block
+    size gives the bits of one block holding every sample."""
+
+    @staticmethod
+    def residual(m, n=3):
+        return duality_residual(lambda q, p: 0.5 * p * p,
+                                UniformMaxwellian(length=1.0), 2.0, n, m,
+                                0.02, Inelasticity(0.25), seed=11)
+
+    @pytest.mark.parametrize("m", [8191, 8192, 8193, 3 * 8192 + 17])
+    def test_block_boundaries(self, m, monkeypatch):
+        assert cm._ROW_BLOCK == 8192
+        blocked = self.residual(m)
+        monkeypatch.setattr(cm, "_ROW_BLOCK", m)
+        assert hex_floats(*blocked) == hex_floats(*self.residual(m))
+
+    def test_working_set_is_bounded(self):
+        # one block holding all 10**5 samples peaks at about 36 MB
+        tracemalloc.start()
+        try:
+            self.residual(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
