@@ -170,9 +170,13 @@ class Simulation:
         if self.engine == "adjacent":
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
-            order = np.argsort(state.q[:, 0], kind="stable")
+            x = state.q[:, 0].copy()
+            if self.box is not None:  # the ring order needs x in [0, box)
+                wrap = np.flatnonzero(np.signbit(x) | (x >= self.box))
+                x[wrap] = np.mod(x[wrap], self.box)
+            order = np.argsort(x, kind="stable")
             self.order = array("q", order.tolist())  # sorted slot -> label
-            self.x = state.q[order, 0].tolist()      # unwrapped, stays sorted
+            self.x = x[order].tolist()               # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
             self.heap = _initial_adjacent_heap(self.x, self.v, self.t,
                                                self.sigma, self.box)

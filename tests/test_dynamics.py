@@ -159,6 +159,39 @@ class TestAdvance:
             np.testing.assert_allclose(a.state().q, b.state().q, atol=1e-9)
             np.testing.assert_allclose(a.state().p, b.state().p, atol=1e-9)
 
+    def test_ring_positions_beyond_one_box(self):
+        # minimum images make this state allowed: the rod at 1.9 sits at 0.9
+        # on the ring and never reaches the rod at 0 within dt=0.5
+        q = np.array([[0.0], [0.5], [1.9]])
+        p = np.array([[0.0], [0.0], [0.1]])
+        s = SystemState(q, p, 0.01, Inelasticity(0.0), box=1.0)
+        assert s.is_allowed()
+        for engine in ("adjacent", "allpairs"):
+            sim = Simulation(s, engine=engine)
+            sim.run(dt=0.5)
+            assert sim.n_events == 0
+            np.testing.assert_allclose(sim.state().q[:, 0], [0.0, 0.5, 0.95])
+            np.testing.assert_array_equal(sim.state().p, p)
+
+    def test_ring_positions_wrap_before_ordering(self):
+        # shifting rods by whole boxes changes no contact: the run matches
+        # the all-pairs oracle, and bitwise the run of the wrapped state
+        rng = np.random.default_rng(8)
+        s = random_state_1d(rng, 12, box=1.0, sigma=0.01, eps=0.2)
+        q = s.q + rng.integers(-2, 3, size=s.q.shape)
+        shifted = SystemState(q, s.p, s.sigma, s.eps, box=1.0)
+        wrapped = SystemState(np.mod(q, 1.0), s.p, s.sigma, s.eps, box=1.0)
+        log_a, log_b, log_c = TrajectoryLog(), TrajectoryLog(), TrajectoryLog()
+        a = evolve(shifted, 0.5, log=log_a, engine="adjacent")
+        b = evolve(wrapped, 0.5, log=log_b, engine="adjacent")
+        c = evolve(shifted, 0.5, log=log_c, engine="allpairs")
+        assert log_a.n_events == log_c.n_events > 5
+        assert [(e.i, e.j) for e in log_a.events] == \
+            [(e.i, e.j) for e in log_b.events]
+        assert digest(a.q, a.p) == digest(b.q, b.p)
+        np.testing.assert_allclose(a.q, c.q, atol=1e-9)
+        np.testing.assert_allclose(a.p, c.p, atol=1e-9)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_periodic_3d_spheres_never_overlap(self, seed):
         rng = np.random.default_rng(seed)
