@@ -140,6 +140,7 @@ def _term_table(n: int, cluster_size: int, rows: int):
                 top += len(first[block][0])
             idx, offset = first[block]
             table[k, idx] = np.arange(offset, offset + len(idx))
+    table.flags.writeable = False
     return [idx for idx, _ in first.values()], table
 
 

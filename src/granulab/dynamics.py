@@ -170,10 +170,10 @@ class Simulation:
         if self.engine == "adjacent":
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
-            x = state.q[:, 0].copy()
+            x = state.q[:, 0]
             if self.box is not None:  # the ring order needs x in [0, box)
-                wrap = np.flatnonzero(np.signbit(x) | (x >= self.box))
-                x[wrap] = np.mod(x[wrap], self.box)
+                x = np.where(np.signbit(x) | (x >= self.box),
+                             np.mod(x, self.box), x)
             order = np.argsort(x, kind="stable")
             self.order = array("q", order.tolist())  # sorted slot -> label
             self.x = x[order].tolist()               # unwrapped, stays sorted
