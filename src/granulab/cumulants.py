@@ -33,7 +33,7 @@ CLUSTER = 0
 
 _MAX_ORDER = 6
 
-_ROW_BLOCK = 8192  # duality samples per block: a working set malloc reuses
+_ROW_BLOCK = 8192  # samples per duality block; malloc reuses their temporaries
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,7 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     lhs, rhs = np.zeros(m), np.empty(m)
     for s in range(0, m, _ROW_BLOCK):
         rows = slice(s, s + _ROW_BLOCK)
-        # the block's samples, one contiguous row per particle
+        # the block's samples, one contiguous row per particle, for evolve
         qb, pb = q[rows].T.copy(), p[rows].T.copy()
         bvals, out, term = {}, lhs[rows], np.empty(min(m - s, _ROW_BLOCK))
         for coeff, blocks in _evolved_terms(terms, evolve, bvals):

@@ -171,9 +171,9 @@ class Simulation:
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
             x = state.q[:, 0]
-            if self.box is not None:  # the ring order needs x in [0, box)
-                x = np.where(np.signbit(x) | (x >= self.box),
-                             np.mod(x, self.box), x)
+            lo, hi = x.min(initial=0.0), x.max(initial=0.0)
+            if self.box is not None and not 0.0 <= lo <= hi < self.box:
+                x = np.mod(x, self.box)  # the ring order needs x in [0, box)
             order = np.argsort(x, kind="stable")
             self.order = array("q", order.tolist())  # sorted slot -> label
             self.x = x[order].tolist()               # unwrapped, stays sorted
