@@ -149,8 +149,10 @@ def run_simulate(cfg, out: Path):
     d = state.d
     qcols = ["qx", "qy", "qz"][:d]
     pcols = ["px", "py", "pz"][:d]
-    rows = [[s.time, i, *map(float, s.q[i]), *map(float, s.p[i])]
-            for s in snaps for i in range(s.n)]
+    rows = []
+    for s in snaps:
+        for i in range(s.n):
+            rows.append([s.time, i, *map(float, s.q[i]), *map(float, s.p[i])])
     write_csv(out / "snapshots.csv", ["t", "particle", *qcols, *pcols], rows)
     etacols = [f"eta{c}" for c in "xyz"[:d]]
     write_csv(out / "events.csv", ["t", "i", "j", *etacols, "g_n", "dE"],
@@ -175,9 +177,14 @@ def run_dsmc(cfg, out: Path):
         n_cells=int(cfg["n_cells"]), density=float(cfg["density"]),
         snapshot_times=cfg["snapshot_times"], q_bins=int(cfg["q_bins"]),
         p_bins=int(cfg["p_bins"]))
-    rows = [[h.time, qi, pi, c / h.sample_weight, h.sample_weight]
-            for h in sol.histograms
-            for (qi, pi), c in np.ndenumerate(h.counts) if c]
+    rows = []
+    for h in sol.histograms:
+        for qi in range(h.counts.shape[0]):
+            for pi in range(h.counts.shape[1]):
+                c = h.counts[qi, pi]
+                if c:
+                    rows.append([h.time, qi, pi, c / h.sample_weight,
+                                 h.sample_weight])
     write_csv(out / "histograms.csv",
               ["t", "q_bin", "p_bin", "count", "weight"], rows)
     write_csv(out / "moments.csv",

@@ -170,11 +170,8 @@ class Simulation:
         if self.engine == "adjacent":
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
-            x = state.q[:, 0]
-            lo, hi = x.min(initial=0.0), x.max(initial=0.0)
-            if self.box is not None and not 0.0 <= lo <= hi < self.box:
-                x = np.mod(x, self.box)  # the ring order needs x in [0, box)
-            order = np.argsort(x, kind="stable")
+            x = state.q[:, 0] if self.box is None else np.mod(state.q[:, 0], self.box)
+            order = np.argsort(x, kind="stable")  # a ring orders x in [0, box)
             self.order = array("q", order.tolist())  # sorted slot -> label
             self.x = x[order].tolist()               # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
