@@ -32,7 +32,6 @@ from .errors import ConfigError
 CLUSTER = 0
 
 _MAX_ORDER = 6
-
 _ROW_BLOCK = 8192  # samples per duality block; malloc reuses their temporaries
 
 
@@ -88,10 +87,9 @@ def _evolved_terms(terms, evolve, cache):
         yield term.coefficient, [cache[block] for block in term.blocks]
 
 
-def _element_particles(element: int, cluster_size: int):
-    if element == CLUSTER:
-        return list(range(cluster_size))
-    return [cluster_size + element - 1]
+def _block_particles(block, cluster_size: int):
+    return [j for el in block for j in (range(cluster_size) if el == CLUSTER
+                                        else [cluster_size + el - 1])]
 
 
 def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
@@ -101,22 +99,21 @@ def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
 
     ``q``/``p`` hold ``cluster_size + n`` particles: the distinguished
     cluster first, then the adjoined singletons.  Each distinct block
-    evolves once, isolated, for time ``t``; one gather from the stack of
-    (q, p) and the block results assembles every partition term's
-    configuration, and ``b`` reads each off its row of the gather.
+    evolves once, isolated, for time ``t``; one gather from the stack
+    [q; block results...] assembles every term, and ``b`` reads its row.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    blocks, table = _term_table(n, cluster_size, len(q))
-    qs, ps = [q], [p]
-    for idx in blocks:
+
+    def evolve(idx):
         # a block reads only its own initial points: one result for all terms
-        qb, pb = q[idx], p[idx]
-        if t != 0.0:
-            out = advance(SystemState(qb, pb, sigma, eps, box), t)
-            qb, pb = out.q, out.p
-        qs.append(qb)
-        ps.append(pb)
+        if t == 0.0:
+            return q[idx], p[idx]
+        out = advance(SystemState(q[idx], p[idx], sigma, eps, box), t)
+        return out.q, out.p
+
+    blocks, table = _term_table(n, cluster_size, len(q))
+    qs, ps = zip((q, p), *map(evolve, blocks))
     qq, pp = np.concatenate(qs)[table], np.concatenate(ps)[table]
     total = 0.0
     for term, qk, pk in zip(enumerate_cumulant_terms(n), qq, pp):
@@ -126,22 +123,22 @@ def apply_cumulant(n: int, t: float, b, q, p, sigma: float,
 
 @functools.cache
 def _term_table(n: int, cluster_size: int, rows: int):
-    """The particle indices of the distinct blocks of the order-n terms, in
-    first-use order, and the (terms, rows) table of each term's row of every
-    particle in the stack [q; block results...]."""
+    """The particles of the distinct blocks of the order-n terms in first-use
+    order, and each term's row of every particle in [q; block results...]."""
+    placed = {}  # block -> (its particles, their rows in the stack)
+
+    def place(block):
+        idx = np.array(_block_particles(block, cluster_size))
+        top = rows + sum(len(i) for i, _ in placed.values())
+        return idx, np.arange(top, top + len(idx))
+
     terms = enumerate_cumulant_terms(n)
     table = np.tile(np.arange(rows), (len(terms), 1))
-    first, top = {}, rows  # block -> (particle indices, stack offset)
-    for k, term in enumerate(terms):
-        for block in term.blocks:
-            if block not in first:
-                first[block] = np.array([j for el in block for j in
-                                         _element_particles(el, cluster_size)]), top
-                top += len(first[block][0])
-            idx, offset = first[block]
-            table[k, idx] = np.arange(offset, offset + len(idx))
+    for k, (_, blocks) in enumerate(_evolved_terms(terms, place, placed)):
+        for idx, at in blocks:
+            table[k, idx] = at
     table.flags.writeable = False
-    return [idx for idx, _ in first.values()], table
+    return [idx for idx, _ in placed.values()], table
 
 
 # -- scattering cumulants --------------------------------------------------
@@ -197,8 +194,7 @@ def scattering_term_list(n: int, cluster_size: int = 1):
     for pt in enumerate_cumulant_terms(n):
         ops = []
         for block in pt.blocks:
-            idx = frozenset(j for el in block
-                            for j in _element_particles(el, cluster_size))
+            idx = frozenset(_block_particles(block, cluster_size))
             if len(idx) >= 2:
                 ops.append(idx)
         terms.append((pt.coefficient, tuple(sorted(ops, key=sorted))))
@@ -347,10 +343,9 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     contain it as a block.  Positions are drawn on [0, ``f1_sampler.length``)
     and momenta from a Gaussian of variance ``f1_sampler.temperature``.
     ``b1(q, p)`` must act elementwise on arrays of scalar 1D
-    positions/momenta, which lets the samples run in blocks of
-    ``_ROW_BLOCK`` rows with every bit independent of the block size.
-    Returns (residual, stderr); the stderr carries a floor so the z-score
-    is well defined when the coupled estimator is exact to rounding.
+    positions/momenta: the samples run in blocks of ``_ROW_BLOCK`` rows.
+    Returns (residual, stderr), the stderr floored so the z-score is
+    defined when the coupled estimator is exact to rounding.
     """
     if n_particles < 2:
         raise ConfigError("duality harness needs n_particles >= 2")
@@ -376,8 +371,7 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     lhs, rhs = np.zeros(m), np.empty(m)
     for s in range(0, m, _ROW_BLOCK):
         rows = slice(s, s + _ROW_BLOCK)
-        # the block's samples, one contiguous row per particle, for evolve
-        qb, pb = q[rows].T.copy(), p[rows].T.copy()
+        qb, pb = q[rows].T.copy(), p[rows].T.copy()  # a row per particle
         bvals, out, term = {}, lhs[rows], np.empty(min(m - s, _ROW_BLOCK))
         for coeff, blocks in _evolved_terms(terms, evolve, bvals):
             for vals in blocks:
