@@ -12,6 +12,7 @@ from granulab.bgl import (
 )
 from granulab.core import Inelasticity, SystemState
 from granulab.errors import ConfigError
+from golden import digest, hex_floats
 
 
 def synthetic_snapshots(rng, replicas, n, length=1.0, temp=1.0, sigma=0.0):
@@ -90,6 +91,26 @@ class TestEmpiricalMarginals:
             ratios.append(est.g2_norm / floor)
         assert 0.82 < np.mean(ratios) < 1.3
 
+    @pytest.mark.parametrize("n, max_pairs, pins", [
+        (300, 20_000, (
+            "aaff558893b7c184da0e3e7db583f0ce8f12a59a8e1a95b0c2757440d7f3defe",
+            ("0x1.307d53d62666ep-5", "0x1.175e0fb4d5fbap-5"), 60_000)),
+        (40, 10_000, (
+            "fd2a92ab9babd6d36cd277fc51d50a1b5d5d8f459e14a9083207b121c94a5114",
+            ("0x1.8bf258bf258bdp-5", "0x1.56d9b1df623a8p-4"), 4680)),
+    ], ids=["subsampled", "all_pairs"])
+    def test_marginals_and_floor_golden(self, n, max_pairs, pins):
+        # bitwise pin of F1, the chaos norm, the pair count and the floor,
+        # with the floor drawing from the stream the marginals left
+        rng = np.random.default_rng(7)
+        snaps = synthetic_snapshots(rng, 3, n)
+        q_edges = np.linspace(0, 1, 3)
+        p_edges = np.linspace(-4, 4, 9)
+        est = empirical_marginals(snaps, q_edges, p_edges, max_pairs, rng=rng)
+        floor = g2_iid_floor(est.F1.counts, 3, n, max_pairs, rng)
+        assert (digest(est.F1.counts), hex_floats(est.g2_norm, floor),
+                est.n_pairs) == pins
+
 
 class TestBgStudy:
     base = {
@@ -147,3 +168,12 @@ class TestBgStudy:
         blob = json.dumps(rows, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "360a4364c71a285e9cf73f5851d7009efeef514ba1a1ae9341dea7108be6542e")
+
+    def test_per_sigma_golden_without_g2(self):
+        # bitwise pin of every row value that reads no estimator randomness
+        cfg = dict(self.base, replicas=4, n_particles=2000, length=2000.0)
+        rows = [{k: v for k, v in row.items() if k not in ("G2", "G2_floor")}
+                for row in bg_study(cfg).per_sigma]
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "77bb5605ca7c4bfb6197459f3775078ac46f1d7585456288efb3de38c82d063e")
