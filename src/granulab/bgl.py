@@ -24,13 +24,11 @@ from .kinetic import PhaseHistogram, granular_temperature, solve_limit_equation
 class MarginalEstimate:
     F1: PhaseHistogram
     g2_norm: float
-    per_replica_f1: np.ndarray  # (replicas, nq, np) probability masses
     n_pairs: int
 
 
 @dataclass
 class ChaosReport:
-    config: dict
     per_sigma: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
 
@@ -61,17 +59,32 @@ def _ordered_pairs(n: int, max_pairs: int, rng: np.random.Generator):
     return ii, np.where(jj >= ii, jj + 1, jj)
 
 
-def _pair_histogram(a, b, k: int):
-    """(k, k) counts of the cell pairs (a[m], b[m]); integer counts, so
-    adding them to a float histogram is exact."""
-    return np.bincount(a * k + b, minlength=k * k).reshape(k, k)
+def _cells(state, q_edges, p_edges):
+    """Flat (q, p) grid cell of each particle of a 1D state."""
+    return (_digitize(state.q[:, 0], q_edges) * (len(p_edges) - 1)
+            + _digitize(state.p[:, 0], p_edges))
 
 
-def _chaos_norm(f1_counts, pair_counts) -> float:
-    """sum |pi2 - pi1 (x) pi1| of the pair and single-particle counts."""
-    pi1 = (f1_counts / f1_counts.sum()).ravel()
+def _chaos_counts(cells, k: int, max_pairs: int, rng: np.random.Generator):
+    """Single-particle counts, ordered-pair count and chaos norm
+    sum |pi2 - pi1 (x) pi1| of per-replica arrays of flat cells in [0, k).
+
+    ``cells`` may be a generator: each replica's cells are then drawn only
+    after the previous replica's pairs.  Counts are integers, so summing
+    them in floats is exact.
+    """
+    f1_counts = np.zeros(k)
+    pair_counts = np.zeros((k, k))
+    n_pairs = 0
+    for cell in cells:
+        f1_counts += np.bincount(cell, minlength=k)
+        ii, jj = _ordered_pairs(len(cell), max_pairs, rng)
+        pair_counts += np.bincount(cell[ii] * k + cell[jj],
+                                   minlength=k * k).reshape(k, k)
+        n_pairs += len(ii)
+    pi1 = f1_counts / f1_counts.sum()
     pi2 = pair_counts / pair_counts.sum()
-    return float(np.abs(pi2 - np.outer(pi1, pi1)).sum())
+    return f1_counts, n_pairs, float(np.abs(pi2 - np.outer(pi1, pi1)).sum())
 
 
 def empirical_marginals(snapshots, q_edges, p_edges,
@@ -92,25 +105,11 @@ def empirical_marginals(snapshots, q_edges, p_edges,
     q_edges = np.asarray(q_edges, dtype=float)
     p_edges = np.asarray(p_edges, dtype=float)
     nq, npb = len(q_edges) - 1, len(p_edges) - 1
-
-    f1_counts = np.zeros((nq, npb))
-    per_replica = np.zeros((len(snapshots), nq, npb))
-    pair_counts = np.zeros((nq * npb, nq * npb))
-    n_pairs = 0
-    for r, s in enumerate(snapshots):
-        qi = _digitize(s.q[:, 0], q_edges)
-        pi = _digitize(s.p[:, 0], p_edges)
-        cell = qi * npb + pi
-        h = np.bincount(cell, minlength=nq * npb).reshape(nq, npb)
-        per_replica[r] = h / s.n
-        f1_counts += h
-        ii, jj = _ordered_pairs(s.n, max_pairs_per_replica, rng)
-        pair_counts += _pair_histogram(cell[ii], cell[jj], nq * npb)
-        n_pairs += len(ii)
-
-    f1 = PhaseHistogram(q_edges, p_edges, f1_counts)
-    return MarginalEstimate(f1, _chaos_norm(f1_counts, pair_counts),
-                            per_replica, n_pairs)
+    f1_counts, n_pairs, g2 = _chaos_counts(
+        (_cells(s, q_edges, p_edges) for s in snapshots), nq * npb,
+        max_pairs_per_replica, rng)
+    f1 = PhaseHistogram(q_edges, p_edges, f1_counts.reshape(nq, npb))
+    return MarginalEstimate(f1, g2, n_pairs)
 
 
 def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
@@ -120,31 +119,23 @@ def g2_iid_floor(f1_probs, n_replicas: int, n_particles: int,
     averaged over ``_FLOOR_TRIALS`` synthetic data sets."""
     k = f1_probs.size
     probs = f1_probs.ravel() / f1_probs.sum()
-    floors = []
-    for _ in range(_FLOOR_TRIALS):
-        pair_counts = np.zeros((k, k))
-        f1_counts = np.zeros(k)
-        for _ in range(n_replicas):
-            cell = rng.choice(k, size=n_particles, p=probs)
-            f1_counts += np.bincount(cell, minlength=k)
-            ii, jj = _ordered_pairs(n_particles, pairs_per_replica, rng)
-            pair_counts += _pair_histogram(cell[ii], cell[jj], k)
-        floors.append(_chaos_norm(f1_counts, pair_counts))
-    return float(np.mean(floors))
+    return float(np.mean([
+        _chaos_counts((rng.choice(k, size=n_particles, p=probs)
+                       for _ in range(n_replicas)),
+                      k, pairs_per_replica, rng)[2]
+        for _ in range(_FLOOR_TRIALS)]))
 
 
 def _d1_distance(per_replica_f1, ref_probs):
-    """Pooled L1 distance to the reference plus a jackknife stderr."""
+    """Pooled L1 distance to the reference plus a jackknife stderr, from
+    the (replicas, cells) single-particle probabilities."""
     r = per_replica_f1.shape[0]
     pooled = per_replica_f1.mean(axis=0)
     d1 = float(np.abs(pooled - ref_probs).sum())
     if r < 2:
         return d1, np.inf
-    loo = []
-    for i in range(r):
-        rest = (pooled * r - per_replica_f1[i]) / (r - 1)
-        loo.append(float(np.abs(rest - ref_probs).sum()))
-    loo = np.asarray(loo)
+    rest = (pooled * r - per_replica_f1) / (r - 1)
+    loo = np.abs(rest - ref_probs).sum(axis=1)
     stderr = float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
     return d1, stderr
 
@@ -194,29 +185,30 @@ def bg_study(config: dict) -> ChaosReport:
     ref_state = sol.final_state
     ref_p, _ = np.histogram(ref_state.p, bins=p_edges)
     ref_probs = np.outer(np.full(_Q_BINS, 1.0 / _Q_BINS),
-                         ref_p / ref_p.sum())
+                         ref_p / ref_p.sum()).ravel()
     ref_temperature = granular_temperature(ref_state)
 
     master = np.random.SeedSequence(seed)
-    report = ChaosReport(config=cfg)
+    report = ChaosReport()
     sampler = UniformMaxwellian(length=length, temperature=temp)
     for si, sigma in enumerate(sigma_list):
+        # one child per replica, then the estimator's own
         seeds = np.random.SeedSequence(entropy=master.entropy,
-                                       spawn_key=(si,)).spawn(replicas)
+                                       spawn_key=(si,)).spawn(replicas + 1)
         snapshots = []
-        for rs in seeds:
+        for rs in seeds[:-1]:
             rng = np.random.default_rng(rs)
             state = sample_chaotic_state(n, sampler, sigma, eps, length, rng)
             sim = Simulation(state, tc_threshold=_TC_THRESHOLD)
             sim.run(dt=t)
             snapshots.append(sim.state())
-        est_rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=master.entropy, spawn_key=(si, 1)))
-        fine = empirical_marginals(snapshots, q_edges, p_edges, max_pairs,
-                                   rng=est_rng)
+        d1, d1_err = _d1_distance(np.array([
+            np.bincount(_cells(s, q_edges, p_edges),
+                        minlength=_Q_BINS * _P_BINS) / n
+            for s in snapshots]), ref_probs)
+        est_rng = np.random.default_rng(seeds[-1])
         coarse = empirical_marginals(snapshots, pq_edges, pp_edges,
                                      max_pairs, rng=est_rng)
-        d1, d1_err = _d1_distance(fine.per_replica_f1, ref_probs)
         floor = g2_iid_floor(coarse.F1.counts, replicas, n,
                              max_pairs, est_rng)
         energy = float(np.mean([0.5 * np.sum(s.p ** 2) / s.n

@@ -348,12 +348,8 @@ def run_bgl_study(cfg, out: Path):
     report = bgl.bg_study(cfg)
     write_json(out / "report.json", _report(
         cfg, per_sigma=report.per_sigma, verdicts=report.verdicts))
-    write_csv(out / "report.csv",
-              ["sigma", "t", "D1", "D1_err", "G2", "G2_floor",
-               "energy_particle", "energy_dsmc"],
-              [[r[k] for k in ("sigma", "t", "D1", "D1_err", "G2",
-                               "G2_floor", "energy_particle",
-                               "energy_dsmc")] for r in report.per_sigma])
+    write_csv(out / "report.csv", list(report.per_sigma[0]),
+              [list(r.values()) for r in report.per_sigma])
     return 0 if all(report.verdicts.values()) else 1
 
 

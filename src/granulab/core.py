@@ -193,14 +193,10 @@ class SystemState:
         if self.n < 2:
             return np.inf
         if self.d == 1:
-            x = np.sort(self.q[:, 0])
-            if self.box is not None:
-                x = np.mod(x, self.box)
-                x.sort()
-                gaps = np.diff(x, append=x[0] + self.box)
-            else:
-                gaps = np.diff(x)
-            return float(gaps.min())
+            if self.box is None:
+                return float(np.diff(np.sort(self.q[:, 0])).min())
+            x = np.sort(np.mod(self.q[:, 0], self.box))
+            return float(np.diff(x, append=x[0] + self.box).min())
         dq = self.q[:, None, :] - self.q[None, :, :]
         if self.box is not None:
             dq -= self.box * np.round(dq / self.box)

@@ -360,8 +360,6 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     def evolve(block):
         # b1 of each particle of the block when the block evolves in isolation
         cols = list(block)
-        if len(cols) == 1:  # free flight
-            return [b1(qb[cols[0]] + pb[cols[0]] * t, pb[cols[0]])]
         qf, pf, _ = evolve_rods_ensemble(qb[cols].T, pb[cols].T, t, sigma, eps)
         return [b1(qf[:, k], pf[:, k]) for k in range(len(cols))]
 

@@ -323,7 +323,9 @@ class Simulation:
         log row and the re-prediction of its three neighbour pairs run
         inline on local names: a call per step costs more than the step's
         arithmetic.  The prediction is that of the initial heap, with the
-        same float operations in the same order.
+        same float operations in the same order.  A popped entry whose
+        counters match has g_n > _TINY: every push required it, and neither
+        velocity has changed since.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
@@ -361,8 +363,6 @@ class Simulation:
                 tl[i] = tl[j] = t_ev
                 vi, vj = v[i], v[j]
                 g_n = vi - vj
-                if g_n <= 0.0:
-                    continue  # grazing or stale geometry: no collision
                 if tc is not None and (t_ev - last[i] < tc
                                        or t_ev - last[j] < tc):
                     e = 0.0

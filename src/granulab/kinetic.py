@@ -156,10 +156,13 @@ def granular_temperature(state: DsmcState) -> float:
 
 
 def dsmc_moments(state: DsmcState):
-    """(mass, momentum, energy, temperature) of the represented density."""
+    """(mass, momentum, energy, temperature) of the represented density.
+    The energy sums with einsum, not a BLAS dot, whose rounding depends on
+    the BLAS thread count."""
     w = state.weight
     return (w * state.n_samples, w * float(state.p.sum()),
-            0.5 * w * float(state.p @ state.p), granular_temperature(state))
+            0.5 * w * float(np.einsum("i,i->", state.p, state.p)),
+            granular_temperature(state))
 
 
 def _by_cell(q, length: float, n_cells: int):

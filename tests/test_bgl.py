@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from granulab import bgl
 from granulab.bgl import (
     ChaosReport,
+    _d1_distance,
     bg_study,
     empirical_marginals,
     g2_iid_floor,
@@ -112,6 +114,20 @@ class TestEmpiricalMarginals:
                 est.n_pairs) == pins
 
 
+def test_d1_jackknife_matches_loop():
+    # the vectorised leave-one-out sums are the per-replica loop's, bitwise
+    rng = np.random.default_rng(11)
+    for r in (2, 3, 32):
+        per_replica = rng.dirichlet(np.ones(96), size=r)
+        ref = rng.dirichlet(np.ones(96))
+        pooled = per_replica.mean(axis=0)
+        loo = np.array([float(np.abs((pooled * r - per_replica[i]) / (r - 1)
+                                     - ref).sum()) for i in range(r)])
+        stderr = float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
+        assert _d1_distance(per_replica, ref) == (
+            float(np.abs(pooled - ref).sum()), stderr)
+
+
 class TestBgStudy:
     base = {
         "sigma_list": [0.04, 0.02],
@@ -167,7 +183,28 @@ class TestBgStudy:
         rows = bg_study(cfg).per_sigma
         blob = json.dumps(rows, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "360a4364c71a285e9cf73f5851d7009efeef514ba1a1ae9341dea7108be6542e")
+            "32aab8d7041613f716f1e4bef6427b2100f3cf17b6cf248606ed2aa95c294616")
+
+    def test_estimator_stream_is_its_own(self, monkeypatch):
+        # the pair subsampling and the floor's synthetic data must not
+        # re-read the words that drew a replica's initial state
+        keys = {"replica": [], "estimator": []}
+
+        def record(name, fn):
+            def wrapper(*args, **kwargs):
+                rng = kwargs["rng"] if "rng" in kwargs else args[-1]
+                keys[name].append(rng.bit_generator.seed_seq.spawn_key)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bgl, "sample_chaotic_state",
+                            record("replica", bgl.sample_chaotic_state))
+        monkeypatch.setattr(bgl, "empirical_marginals",
+                            record("estimator", bgl.empirical_marginals))
+        bg_study(self.base)
+        assert len(keys["replica"]) == 2 * self.base["replicas"]
+        assert not set(keys["estimator"]) & set(keys["replica"])
+        assert len(keys["estimator"]) == 2  # one marginals call per row
 
     def test_per_sigma_golden_without_g2(self):
         # bitwise pin of every row value that reads no estimator randomness

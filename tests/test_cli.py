@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import granulab
 from granulab import cumulants
 from granulab.cli import config_hash, load_config, main
 from granulab.errors import ConfigError
@@ -35,6 +40,22 @@ class TestConfig:
     def test_seed_flag_wins(self):
         cfg = load_config("dsmc", None, ["seed=1"], 7)
         assert cfg["seed"] == 7
+
+    def test_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n_samples": 500, "eps": 0.1}')
+        cfg = load_config("dsmc", str(path), ["eps=0.2"], None)
+        assert cfg["n_samples"] == 500 and cfg["eps"] == 0.2
+
+    def test_config_file_must_hold_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config("dsmc", str(path), [], None)
+
+    def test_set_needs_equals(self):
+        with pytest.raises(ConfigError, match="key=value"):
+            load_config("dsmc", None, ["n_samples"], None)
 
     def test_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
@@ -137,6 +158,19 @@ class TestDsmc:
         moments = read_rows(tmp_path / "moments.csv")
         assert float(moments[-1]["t"]) == pytest.approx(1.0)
         assert read_json(tmp_path / "run.json")["dt_halvings"] > 0
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # the energy moment of 1e5 samples once came from a BLAS dot,
+        # whose rounding follows the BLAS thread count
+        src = str(Path(granulab.__file__).parents[1])
+        for k in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=k, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "granulab.cli", "dsmc",
+                            "--set", "t_end=0.1", "--out", str(tmp_path / k)],
+                           env=env, check=True)
+        for name in ("histograms.csv", "moments.csv", "run.json"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
 
     def test_default_config_never_halves_dt(self, tmp_path):
         assert main(["dsmc", "--out", str(tmp_path)]) == 0

@@ -265,6 +265,25 @@ class TestAdvance:
         with pytest.raises(EventStormError):
             evolve(s, 1.0, storm_limit=2000)
 
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_event_storm_guard_on_right_particle(self, engine):
+        # rods 1 and 2 collide at t=0.2, then 0 hits 1 at t=0.6: particle 1,
+        # the right-hand one of the second pair, has the second event
+        q = np.array([[0.5], [1.0], [1.3]])
+        p = np.array([[1.0], [1.0], [0.0]])
+        sim = Simulation(SystemState(q, p, 0.1, Inelasticity(0.0)),
+                         engine=engine, storm_limit=1)
+        with pytest.raises(EventStormError, match="particle 1:"):
+            sim.run(dt=1.0)
+        assert sim.n_events == 2  # the event that tripped the guard counts
+
+    def test_refuses_overlap_and_negative_dt(self):
+        q, p = np.array([[0.0], [0.05]]), np.array([[1.0], [0.0]])
+        with pytest.raises(ValueError, match="overlapping"):
+            Simulation(SystemState(q, p, 0.1, Inelasticity(0.0)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Simulation(two_rods()).run(dt=-1.0)
+
     def test_tc_regularization_avoids_storm(self):
         rng = np.random.default_rng(22)
         s = random_state_1d(rng, 50, box=1.0, sigma=0.004, eps=0.25)
@@ -285,19 +304,21 @@ class TestAdvance:
 
     def test_event_budget_stops_clock_at_last_event(self):
         # contacts before t+dt are still pending when the budget runs out,
-        # so the clock may not move past the last event processed
-        rng = np.random.default_rng(0)
-        s = random_state_1d(rng, 200, box=20.0, sigma=0.01, eps=0.25)
-        log = TrajectoryLog()
-        sim = Simulation(s, log=log, tc_threshold=1e-9)
-        assert sim.run(dt=5.0, max_events=10) == 10
-        assert sim.t == log.events[-1].t
-        out = sim.state()
-        assert out.min_separation() >= s.sigma * (1 - 1e-9)
-        Simulation(out)  # accepts its own snapshot
-        # the rest of the interval is still reachable
-        sim.run(dt=5.0 - sim.t)
-        assert sim.t == pytest.approx(5.0)
+        # so the clock may not move past the last event processed; both
+        # engines, with fewer rods for the O(N)-per-event one
+        for engine, n in (("adjacent", 200), ("allpairs", 20)):
+            rng = np.random.default_rng(0)
+            s = random_state_1d(rng, n, box=20.0, sigma=0.01, eps=0.25)
+            log = TrajectoryLog()
+            sim = Simulation(s, log=log, engine=engine, tc_threshold=1e-9)
+            assert sim.run(dt=5.0, max_events=10) == 10
+            assert sim.t == log.events[-1].t
+            out = sim.state()
+            assert out.min_separation() >= s.sigma * (1 - 1e-9)
+            Simulation(out)  # accepts its own snapshot
+            # the rest of the interval is still reachable
+            sim.run(dt=5.0 - sim.t)
+            assert sim.t == pytest.approx(5.0)
 
 
 class TestInverseFlow:
