@@ -14,6 +14,7 @@ from granulab.bgl import (
 )
 from granulab.core import Inelasticity, SystemState
 from granulab.errors import ConfigError
+
 from golden import digest, hex_floats
 
 

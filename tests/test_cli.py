@@ -160,8 +160,8 @@ class TestDsmc:
         assert read_json(tmp_path / "run.json")["dt_halvings"] > 0
 
     def test_artifacts_independent_of_blas_threads(self, tmp_path):
-        # the energy moment of 1e5 samples once came from a BLAS dot,
-        # whose rounding follows the BLAS thread count
+        # a BLAS dot over 1e5 samples rounds by the BLAS thread count, so
+        # no moment may come from one
         src = str(Path(granulab.__file__).parents[1])
         for k in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=k, PYTHONPATH=src)
