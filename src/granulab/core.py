@@ -100,24 +100,22 @@ def precollide(p1, p2, eta, eps: Inelasticity):
     return p1 - kick, p2 + kick
 
 
-def collide_rods(v1: float, v2: float, epsilon: float, inverse: bool = False):
-    """One rod-pair collision on Python floats, with normal ``eta = [1.0]``.
+def collide_rods(v1, v2, epsilon: float, inverse: bool = False):
+    """The rod-pair collision map of every 1D path, with ``eta = [1.0]``.
 
-    Returns ``(v1*, v2*, dE)``: the momenta :func:`collide` gives (or, with
-    ``inverse``, :func:`precollide`) and the kinetic-energy change.  Every
-    float operation is the one the array form performs with ``eta = [1.0]``
-    (multiplying by 1.0 is exact), so the results are bitwise equal.  The
-    approach condition is not checked.
+    Returns ``(v1*, v2*)`` as :func:`collide` (or, with ``inverse``,
+    :func:`precollide`) gives them, on Python floats (the event loop, which
+    computes the energy change itself) or on arrays of pairs
+    (``evolve_rods_ensemble`` and the DSMC rounds).  Each float operation is
+    the array form's with ``eta = [1.0]`` (multiplying by 1.0 is exact), so
+    the results are bitwise equal; at ``epsilon == 0`` the forward map
+    exchanges the momenta outright.  The approach condition is not checked.
     """
-    if inverse:
-        kick = (1.0 - epsilon) / (1.0 - 2.0 * epsilon) * (v1 - v2)
-        w1, w2 = v1 - kick, v2 + kick
-    elif epsilon == 0.0:
-        w1, w2 = v2, v1  # the exchange of :func:`collide`
-    else:
-        kick = (1.0 - epsilon) * (v1 - v2)
-        w1, w2 = v1 - kick, v2 + kick
-    return w1, w2, 0.5 * (w1 * w1 + w2 * w2 - v1 * v1 - v2 * v2)
+    if epsilon == 0.0 and not inverse:
+        return v2, v1  # the exchange of :func:`collide`
+    kick = ((1.0 - epsilon) / (1.0 - 2.0 * epsilon) if inverse
+            else 1.0 - epsilon) * (v1 - v2)
+    return v1 - kick, v2 + kick
 
 
 def dissipation(p1, p2, eta, eps: Inelasticity):

@@ -281,7 +281,10 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
     periodic box).  Order 0 applies the leading generating operator as a
     pullback through the inverse interacting flow; order 1 adds a Monte
     Carlo estimate of the one-extra-particle correction.  Returns
-    (value, stderr).
+    (value, stderr).  Order 1 is defined only while every composed
+    scattering map meets allowed configurations: at moderate t (t=1,
+    sigma=0.05, say) a map can meet overlapping rods and raise ``ValueError``,
+    and on a ring the inverse flow can blow up and raise ``EventStormError``.
     """
     q1, p1 = (np.asarray(a, dtype=float) for a in x1)
     q2, p2 = (np.asarray(a, dtype=float) for a in x2)

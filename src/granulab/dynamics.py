@@ -2,7 +2,8 @@
 
 Free flight between collisions, earliest-event scheduling with invalidation
 counters, momentum updates through the single collision algebra in
-:mod:`granulab.core`.  There are two engines:
+:mod:`granulab.core` (``collide_rods`` on the 1D fast paths, ``collide`` and
+``precollide`` in the all-pairs engine).  There are two engines:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
   only neighbours can collide), with lazy per-particle times -- the fast
@@ -370,11 +371,12 @@ class Simulation:
                 else:
                     e = eps
                 last[i] = last[j] = t_ev
-                vi, vj, dE = collide_rods(vi, vj, e, inverse)
+                wi, wj = collide_rods(vi, vj, e, inverse)
+                dE = 0.5 * (wi * wi + wj * wj - vi * vi - vj * vj)
                 if inverse and not isfinite(dE):
                     raise self._overflow_error(order[i], order[j], t_ev)
-                v[i] = vi
-                v[j] = vj
+                v[i] = vi = wi
+                v[j] = vj = wj
                 cnt[i] += 1
                 cnt[j] += 1
                 processed += 1
@@ -383,13 +385,13 @@ class Simulation:
                     storm_cnt[i] = 0
                 storm_cnt[i] += 1
                 if storm_cnt[i] > limit:
-                    raise self._storm_error(i, t_ev)
+                    raise self._storm_error(order[i], t_ev)
                 if t_ev - storm_t0[j] >= 1.0:
                     storm_t0[j] = t_ev
                     storm_cnt[j] = 0
                 storm_cnt[j] += 1
                 if storm_cnt[j] > limit:
-                    raise self._storm_error(j, t_ev)
+                    raise self._storm_error(order[j], t_ev)
                 if log is not None:
                     log_t(t_ev)
                     log_i(order[i])
@@ -554,7 +556,8 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
     ``q``/``p`` have shape (M, N) with positions sorted ascending per row and
     pairwise gaps >= sigma.  Rods never exchange order, so only adjacent
     pairs collide; each round resolves at most one collision per row: the
-    earliest contact, the first gap on ties.
+    earliest contact, the first gap on ties, with the event loop's map
+    :func:`~granulab.core.collide_rods` (an exchange at eps = 0).
 
     Each rod's positions and momenta are held in one contiguous array of M
     entries; the caller's arrays are not modified.  The first round runs in
@@ -571,7 +574,6 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
     if n < 2 or t == 0.0:
         return (qo + po * t).T, po.T, ncol
     max_rounds = 100 * n + 1000
-    fac = 1.0 - eps.epsilon
     # the rows of the current round: every row (as views) in the first one
     qs, ps = list(qo), list(po)
     remaining = np.full(m, float(t))
@@ -587,10 +589,8 @@ def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
         kh = k.take(hit)
         for j in range(n - 1):
             r = hit.take(np.flatnonzero(kh == j))
-            pl, pr = ps[j].take(r), ps[j + 1].take(r)
-            kick = fac * (pl - pr)
-            ps[j][r] = pl - kick
-            ps[j + 1][r] = pr + kick
+            ps[j][r], ps[j + 1][r] = core.collide_rods(
+                ps[j].take(r), ps[j + 1].take(r), eps.epsilon)
         if rows is None:
             rows = hit
         else:

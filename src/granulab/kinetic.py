@@ -4,10 +4,11 @@ Two pieces share the collision algebra of :mod:`granulab.core`:
 
 * a Monte Carlo evaluator of the hard-sphere collision integral with
   finite-diameter gain/loss offsets, in one and three dimensions, acting on
-  a caller-supplied two-particle density;
+  a caller-supplied two-particle density (``precollide``);
 * a direct-simulation Monte Carlo (DSMC) solver for the one-dimensional
   kinetic equation of point particles: streaming plus per-cell randomized
-  binary collisions with kernel |p - p1| under a per-cell majorant.
+  binary collisions with kernel |p - p1| under a per-cell majorant, applied
+  by ``collide_rods``, the rod map of the event engine.
 
 The gain term carries the pre-collision momenta and the 1/(1-2*eps)^2
 weight (inverse-map Jacobian times the kernel scaling).
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Inelasticity, precollide
+from .core import Inelasticity, collide_rods, precollide
 from .errors import ConfigError, DtGuardError
 
 
@@ -275,18 +276,17 @@ def dsmc_step(state: DsmcState, dt: float,
     # local indices -> positions in the by-cell order -> sample ids
     ids = order[np.concatenate([ii, jj]) + np.tile(starts[pair_cell], 2)]
     _collide_in_rounds(out.p, ids[:ii.size], ids[ii.size:],
-                       np.concatenate(u), vmax[pair_cell],
-                       1.0 - out.eps.epsilon)
+                       np.concatenate(u), vmax[pair_cell], out.eps.epsilon)
     return out
 
 
-def _collide_in_rounds(p, a, b, u, vmax, fac):
+def _collide_in_rounds(p, a, b, u, vmax, epsilon):
     """Apply candidate pairs (a[k], b[k]) to ``p`` in place, with the result
     of applying them one at a time in index order.
 
     Each round takes every pending pair whose two samples no earlier pending
-    pair touches; those pairs are disjoint, so one array update applies
-    them with the same float operations on the same operands as the loop.
+    pair touches; those pairs are disjoint, so one ``collide_rods`` call on
+    arrays applies them with the loop's float operations and operands.
     """
     slots = np.arange(2 * a.size)
     first = np.full(p.size, slots.size)  # first pending slot of each sample
@@ -301,9 +301,8 @@ def _collide_in_rounds(p, a, b, u, vmax, fac):
         ra, rb = a[ready], b[ready]
         dp = p[ra] - p[rb]
         hit = u[ready] < np.abs(dp) / vmax[ready]
-        kick = fac * dp[hit]
-        p[ra[hit]] -= kick
-        p[rb[hit]] += kick
+        ra, rb = ra[hit], rb[hit]
+        p[ra], p[rb] = collide_rods(p[ra], p[rb], epsilon)
         wait = ~ready
         a, b, u, vmax = a[wait], b[wait], u[wait], vmax[wait]
 

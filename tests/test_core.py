@@ -15,7 +15,9 @@ from granulab.core import (
     unit_normal,
 )
 from granulab import core
+from granulab.dynamics import Simulation, evolve_rods_ensemble
 from granulab.errors import InvalidCollisionError, SamplingFailureError
+from granulab.kinetic import _collide_in_rounds
 
 from golden import digest
 
@@ -128,8 +130,9 @@ class TestPrecollide:
 
 class TestCollideRods:
     def test_bitwise_equal_to_array_maps(self):
-        # the scalar rod update must be the array maps with eta = [1.0],
-        # operation for operation, including the elastic exchange
+        # the rod map must be the array maps with eta = [1.0], operation
+        # for operation, including the elastic exchange, on floats and on
+        # arrays of pairs alike
         rng = np.random.default_rng(4)
         eta = np.array([1.0])
         epsilons = [0.0] * 200 + list(rng.uniform(0.0, 0.5, size=800))
@@ -142,11 +145,32 @@ class TestCollideRods:
                 else:
                     a1, a2 = collide(p1, p2, eta, Inelasticity(eps),
                                      check=False)
-                de = 0.5 * (a1 @ a1 + a2 @ a2 - p1 @ p1 - p2 @ p2)
-                w1, w2, de_scalar = collide_rods(float(v1), float(v2), eps,
-                                                 inverse)
-                assert (np.array([w1, w2, de_scalar]).tobytes()
-                        == np.array([a1[0], a2[0], de]).tobytes())
+                expect = np.array([a1[0], a2[0]]).tobytes()
+                w1, w2 = collide_rods(float(v1), float(v2), eps, inverse)
+                assert np.array([w1, w2]).tobytes() == expect
+                w1, w2 = collide_rods(p1, p2, eps, inverse)
+                assert np.concatenate([w1, w2]).tobytes() == expect
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25])
+    def test_one_map_on_every_path(self, eps):
+        # one collision of two rods whose kick rounds: the event loop, the
+        # ensemble evolver and the DSMC rounds give the same momenta, bitwise
+        v = np.array([1.0, 1e-17])
+        expect = np.array(collide_rods(v[0], v[1], eps))
+        q = np.array([0.0, 1.0])
+        sim = Simulation(SystemState(q[:, None], v[:, None], 0.1,
+                                     Inelasticity(eps)))
+        assert sim.run(dt=2.0) == 1
+        assert sim.state().p[:, 0].tobytes() == expect.tobytes()
+        _, p, ncol = evolve_rods_ensemble(q[None], v[None], 2.0, 0.1,
+                                          Inelasticity(eps))
+        assert ncol[0] == 1 and p[0].tobytes() == expect.tobytes()
+        p = v.copy()
+        _collide_in_rounds(p, np.array([0]), np.array([1]), np.array([0.0]),
+                           np.array([1.0]), eps)
+        assert p.tobytes() == expect.tobytes()
+        if eps == 0.0:
+            assert expect.tolist() == [1e-17, 1.0]
 
 
 class TestDissipation:

@@ -17,7 +17,7 @@ from granulab.cumulants import (
     set_partitions,
 )
 from granulab.dynamics import advance, evolve_rods_ensemble
-from granulab.errors import ConfigError
+from granulab.errors import ConfigError, EventStormError
 
 from golden import hex_floats
 
@@ -259,6 +259,25 @@ class TestMarginalFunctionalF2:
         assert np.isfinite(v1) and err > 0.0
         assert abs(v1 - v0) <= 0.1 * v0
 
+    def order1_at_t1(self, eps, box):
+        x1, x2 = self.x(0.3, -0.4), self.x(0.6, 0.4)
+        val, err = marginal_functional_F2(
+            1.0, self.sampler, x1, x2, 0.05, Inelasticity(eps), order=1,
+            mc_samples=200, rng=np.random.default_rng(0), box=box)
+        assert np.isfinite(val) and err > 0.0
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+        "ROADMAP item 15: a composed scattering map meets an overlapping "
+        "intermediate configuration"))
+    def test_order1_composed_maps_on_a_line(self):
+        self.order1_at_t1(0.0, None)
+
+    @pytest.mark.xfail(strict=True, raises=EventStormError, reason=(
+        "ROADMAP item 15: the inverse flow of a composed map blows up on "
+        "the ring"))
+    def test_order1_composed_maps_on_a_ring(self):
+        self.order1_at_t1(0.25, 1.0)
+
 
 class TestDualityResidual:
     sampler = UniformMaxwellian(length=1.0, temperature=1.0)
@@ -349,22 +368,22 @@ PINS_t0 = [
     "0x1.0000000000000p-38",
 ]
 PINS_duality = [
-    (2, 0.0, ("-0x1.d33a06d3a06d4p-57", "0x1.607a30ede7aa0p-46")),
+    (2, 0.0, ("-0x1.058f5c28f5c29p-56", "0x1.607a30ede7aa0p-46")),
     (2, 0.25, ("-0x1.b25f92c5f92c6p-57", "0x1.450c78029174ap-46")),
-    (3, 0.0, ("0x1.f0a3d70a3d70ap-58", "0x1.ac9b3d521ddadp-46")),
+    (3, 0.0, ("-0x1.1f92c5f92c5f9p-56", "0x1.ac9b3d521ddadp-46")),
     (3, 0.25, ("0x1.be06d3a06d3a0p-55", "0x1.646bc01619cc8p-46")),
-    (4, 0.0, ("0x1.623d70a3d70a4p-54", "0x1.14cca92c2aaebp-45")),
+    (4, 0.0, ("0x1.39b4e81b4e81bp-54", "0x1.14cca92c2aaebp-45")),
     (4, 0.25, ("0x1.a4962fc962fc9p-54", "0x1.965213faa4ceap-46")),
 ]
 
 # (n, eps, t, float.hex of (residual, stderr)) at mc_samples=10**4, seed 7
 PINS_duality_grid = [
-    (2, 0.0, 0.5, ("-0x1.de8ca57a786c2p-60", "0x1.67ddd3453bfd5p-46")),
-    (2, 0.0, 2.0, ("-0x1.faaf0d844d014p-60", "0x1.67ddd3453bfd5p-46")),
+    (2, 0.0, 0.5, ("-0x1.bbbbc01a36e2fp-60", "0x1.67ddd3453bfd5p-46")),
+    (2, 0.0, 2.0, ("-0x1.e207ef9db22d1p-60", "0x1.67ddd3453bfd5p-46")),
     (2, 0.25, 0.5, ("-0x1.c53adab9f559bp-59", "0x1.479b47ec44609p-46")),
     (2, 0.25, 2.0, ("-0x1.5f29a6b50b0f2p-59", "0x1.45dfb623cbfb1p-46")),
-    (3, 0.0, 0.5, ("0x1.7dd013a92a305p-57", "0x1.c31b003b6ecf6p-46")),
-    (3, 0.0, 2.0, ("0x1.2800d1b71758ep-57", "0x1.c31b003b6ecf6p-46")),
+    (3, 0.0, 0.5, ("0x1.0de3bcd35a858p-57", "0x1.c31b003b6ecf6p-46")),
+    (3, 0.0, 2.0, ("0x1.806594af4f0d8p-58", "0x1.c31b003b6ecf6p-46")),
     (3, 0.25, 0.5, ("0x1.e686594af4f0ep-58", "0x1.7147e24e01c12p-46")),
     (3, 0.25, 2.0, ("0x1.9019652bd3c36p-57", "0x1.6d848937515cep-46")),
 ]
@@ -394,7 +413,9 @@ class TestGoldenPartitionSums:
     recorded when ``apply_cumulant`` re-evolved every block of every
     partition and ``duality_residual`` filled its per-subset table before
     summing; evaluating each distinct block once, with the same float
-    operations summed in the same order, must reproduce them exactly."""
+    operations summed in the same order, must reproduce them exactly.  The
+    eps=0 duality residuals were re-recorded when the rod-ensemble evolver
+    took the exchange of ``collide_rods``; their stderr did not move."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CUMULANTS))
     def test_apply_cumulant(self, name):

@@ -19,6 +19,7 @@ from granulab.dynamics import (
 )
 from granulab.errors import ConfigError, EventStormError
 
+from free_flight import elastic_line
 from golden import digest
 
 
@@ -267,15 +268,19 @@ class TestAdvance:
 
     @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
     def test_event_storm_guard_on_right_particle(self, engine):
-        # rods 1 and 2 collide at t=0.2, then 0 hits 1 at t=0.6: particle 1,
-        # the right-hand one of the second pair, has the second event
-        q = np.array([[0.5], [1.0], [1.3]])
-        p = np.array([[1.0], [1.0], [0.0]])
-        sim = Simulation(SystemState(q, p, 0.1, Inelasticity(0.0)),
-                         engine=engine, storm_limit=1)
-        with pytest.raises(EventStormError, match="particle 1:"):
-            sim.run(dt=1.0)
-        assert sim.n_events == 2  # the event that tripped the guard counts
+        # the middle rod collides with the right one at t=0.2, then the left
+        # rod hits it at t=0.6: the middle rod, the right-hand one of the
+        # second pair, has the second event.  Its label is 1 when the rods
+        # are given in position order and 2 when they are not: the message
+        # names the particle, not its slot in the sorted order
+        for q, p, label in (([0.5, 1.0, 1.3], [1.0, 1.0, 0.0], 1),
+                            ([1.3, 0.5, 1.0], [0.0, 1.0, 1.0], 2)):
+            state = SystemState(np.array(q)[:, None], np.array(p)[:, None],
+                                0.1, Inelasticity(0.0))
+            sim = Simulation(state, engine=engine, storm_limit=1)
+            with pytest.raises(EventStormError, match=f"particle {label}:"):
+                sim.run(dt=1.0)
+            assert sim.n_events == 2  # the event that tripped the guard counts
 
     def test_refuses_overlap_and_negative_dt(self):
         q, p = np.array([[0.0], [0.05]]), np.array([[1.0], [0.0]])
@@ -486,11 +491,28 @@ class TestTonksIdentity:
         np.testing.assert_allclose(dx1, dx2, rtol=0, atol=1e-9)
 
 
+class TestElasticLineOracle:
+    def test_engine_at_study_scale(self):
+        # 10**4 elastic rods on a line: the engine's momenta are exactly the
+        # re-sorted free flight's, with one event per crossing
+        n, length, sigma, t = 10_000, 1.0e4, 0.02, 1.0
+        rng = np.random.default_rng(36)
+        q = _gap_positions(1, n, length, sigma, rng)
+        p = rng.normal(size=q.shape)
+        sim = Simulation(SystemState(q.T, p.T, sigma, Inelasticity(0.0)))
+        sim.run(dt=t)
+        q_t, p_t, crossings = elastic_line(q, p, t, sigma)
+        out = sim.state()
+        assert out.p[:, 0].tobytes() == p_t[0].tobytes()
+        assert sim.n_events == crossings[0] > 1000
+        np.testing.assert_allclose(out.q[:, 0], q_t[0], rtol=0, atol=1e-9)
+
+
 EVOLVER_DIGESTS = [
     (2, 0.0, 0.5,
-     "7ed827cbe45b579356bf8fcacdc6b57dd78f13073f99ff166b1b999a5cd90c77"),
+     "a649647b194881e28c4ae3477217ed24a83ae5fd976873c14a1e29f9e4cd715a"),
     (2, 0.0, 2.0,
-     "2410995d3af85467842e587bfbbabaf0b719292359cd84a604a527ca4b8c8585"),
+     "272d6c624cce5e68ae63ccb65967818118ac3f0997ead76a7074ae576a3fc97f"),
     (2, 0.1, 0.5,
      "172d60fc2eaec4806fe708f0abb1cb21bf4ee10002fd52a478e8224366779815"),
     (2, 0.1, 2.0,
@@ -500,9 +522,9 @@ EVOLVER_DIGESTS = [
     (2, 0.25, 2.0,
      "4f0346cb3e07d14148a4563f2e767701402f3ae198b15a99135c1a741f230ace"),
     (3, 0.0, 0.5,
-     "dcdfea5d42f8d96a19fceb3c7cf7fd5386f8e54ab3521f2c25ff760b45f89635"),
+     "d196aad53f5fee94863ad58a7a42961b1f8d7f2f17ddafc1d37cd7b217d36fd9"),
     (3, 0.0, 2.0,
-     "deae1fda427b958f5ecb3e0ba69a098ef68a50c95216dcfe8ea91bf8bc898750"),
+     "a823c5547e790d5a6a62dfcecdb2bf1c7613422ac6c2683c76ea29815f950ca8"),
     (3, 0.1, 0.5,
      "5ecfe4c114bfe32a6a15827dca6ad524712b7962a42acdd6020652cf3a3c1f1c"),
     (3, 0.1, 2.0,
@@ -512,9 +534,9 @@ EVOLVER_DIGESTS = [
     (3, 0.25, 2.0,
      "5f2dc432889e123357a23473bb48d20d38905f5ed658b6821d2f1cb27a5894f4"),
     (5, 0.0, 0.5,
-     "cef111d35d27bd153287e17dd4904c923dd3f623ade4fcff3f00403e536ab2da"),
+     "cfd4f01e8143f43ca37e5bcda3601d7903150c7ac34e00bd994a7570c331216f"),
     (5, 0.0, 2.0,
-     "ee2de957bce4b1eba16e80d6d95778a8f7a4c441d94c52edcf098a839edf7559"),
+     "f44ffe53183a6b7d430425c0f22d93d2b421855de985d7d2d0107babbf99f823"),
     (5, 0.1, 0.5,
      "e0eabebae03c3f3888d828df0d9ecedf5974f6fba8d4868e1d550bd34f051072"),
     (5, 0.1, 2.0,
@@ -530,7 +552,10 @@ class TestEvolveRodsEnsembleGolden:
     """Bitwise pins of ``evolve_rods_ensemble``: sha256 of (q, p, ncol) on
     10**4 rows drawn by gap insertion, recorded from the row-major form that
     gathered the active rows of every round.  At n=3 and eps>0 a row takes
-    up to five rounds, at n=5 up to seventeen."""
+    up to five rounds, at n=5 up to seventeen.  The eps=0 pins were
+    re-recorded when the evolver took the exchange of ``collide_rods``;
+    :meth:`test_elastic_is_free_flight_resorted` checks those runs against
+    the exact oracle."""
 
     @staticmethod
     def inputs(n):
@@ -545,6 +570,19 @@ class TestEvolveRodsEnsembleGolden:
         q, p = self.inputs(n)
         out = evolve_rods_ensemble(q, p, t, 0.02, Inelasticity(eps))
         assert digest(*out) == pin
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_elastic_is_free_flight_resorted(self, n):
+        # at eps=0 every row is the free flight of its contracted gas,
+        # re-sorted: momenta exact, one collision per crossing
+        q, p = self.inputs(n)
+        for t in (0.5, 2.0):
+            qf, pf, ncol = evolve_rods_ensemble(q, p, t, 0.02,
+                                                Inelasticity(0.0))
+            q_t, p_t, crossings = elastic_line(q, p, t, 0.02)
+            assert pf.tobytes() == p_t.tobytes()
+            np.testing.assert_array_equal(ncol, crossings)
+            np.testing.assert_allclose(qf, q_t, rtol=0, atol=1e-12)
 
     def test_non_contiguous_view(self):
         # every second row and every second rod of six
