@@ -10,7 +10,10 @@ replica, particle and pair counts (finite ensembles never reach zero).
 """
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +34,8 @@ class MarginalEstimate:
 class ChaosReport:
     per_sigma: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
+    # per sigma row, the replicas' summed engine counters
+    engine_totals: list = field(default_factory=list)
 
 
 _Q_BINS, _P_BINS = 4, 24  # one-particle grid of D1
@@ -70,13 +75,15 @@ def _chaos_counts(cells, k: int, max_pairs: int, rng: np.random.Generator):
     sum |pi2 - pi1 (x) pi1| of per-replica arrays of flat cells in [0, k).
 
     ``cells`` may be a generator: each replica's cells are then drawn only
-    after the previous replica's pairs.  Counts are integers, so summing
-    them in floats is exact.
+    after the previous replica's pairs.  Any integer dtype holding [0, k)
+    will do; pair cells are formed in ``intp``.  Counts are integers, so
+    summing them in floats is exact.
     """
     f1_counts = np.zeros(k)
     pair_counts = np.zeros((k, k))
     n_pairs = 0
     for cell in cells:
+        cell = cell.astype(np.intp, copy=False)
         f1_counts += np.bincount(cell, minlength=k)
         ii, jj = _ordered_pairs(len(cell), max_pairs, rng)
         pair_counts += np.bincount(cell[ii] * k + cell[jj],
@@ -140,7 +147,48 @@ def _d1_distance(per_replica_f1, ref_probs):
     return d1, stderr
 
 
-def bg_study(config: dict) -> ChaosReport:
+def _replica(sigma, seed, *, n, sampler, eps, t, fine, coarse):
+    """One rod replica, from its seed child to time t, as the record the
+    study reads: the fine-grid single-particle probabilities of D1, the
+    coarse-grid flat cells of G2 in the smallest unsigned dtype, the energy
+    per particle and the engine counters."""
+    rng = np.random.default_rng(seed)
+    state = sample_chaotic_state(n, sampler, sigma, eps, sampler.length, rng)
+    sim = Simulation(state, tc_threshold=_TC_THRESHOLD)
+    sim.run(dt=t)
+    s = sim.state()
+    f1 = np.bincount(_cells(s, *fine), minlength=_Q_BINS * _P_BINS) / n
+    cells = _cells(s, *coarse).astype(
+        np.min_scalar_type(_PAIR_Q_BINS * _PAIR_P_BINS - 1))
+    return (f1, cells, 0.5 * np.sum(s.p ** 2) / s.n,
+            (sim.n_events, sim.n_stale_pops, sim.n_tc_elastic))
+
+
+@contextmanager
+def _mapped(fn, workers: int, *args):
+    """``map(fn, *args)`` in order: in this process for one worker, else on
+    a pool of worker processes that is given every task at once and, on
+    leaving the block, cancels the pending ones and joins its workers.
+
+    Workers are forked: they start as copies of this process, so none
+    imports numpy again and each sees the module state of its parent.  The
+    pool forks them all before it starts its own threads.
+    """
+    if workers == 1:
+        yield map(fn, *args)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(min(workers, len(args[0])),
+                               multiprocessing.get_context("fork"))
+    try:
+        yield pool.map(fn, *args)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     """Scaling study: event-driven rod ensembles vs the limit equation.
 
     Expects keys: sigma_list, eps, t, replicas, seed, n_particles, length;
@@ -148,6 +196,13 @@ def bg_study(config: dict) -> ChaosReport:
     ConfigError.  The number density n_particles / length is the
     diameter-free scale shared with the DSMC reference, so distances across
     sigma reflect only the particle system.
+
+    With ``workers`` > 1 the replicas of every row run on that many worker
+    processes (at most one per replica), while this process computes the
+    DSMC reference; results are collected in spawn order, so the report is
+    bitwise the same at any worker count.  A worker returns a compact record
+    of its replica (see ``_replica``), not the snapshot: unpickled snapshots
+    would stay resident in this process's heap.
     """
     cfg = dict(config)
     unknown = sorted(set(cfg) - _CONFIG_KEYS)
@@ -164,6 +219,11 @@ def bg_study(config: dict) -> ChaosReport:
     dsmc_samples = int(cfg.get("dsmc_samples", 100_000))
     seed = int(cfg["seed"])
 
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not sigma_list or replicas < 1 or n < 2:
+        raise ConfigError("the study needs a sigma, and its pair marginal "
+                          "at least one replica of at least two particles")
     density = n / length
     for sigma in sigma_list:
         if n * sigma / length >= 0.2:
@@ -177,52 +237,52 @@ def bg_study(config: dict) -> ChaosReport:
     pq_edges = np.linspace(0.0, length, _PAIR_Q_BINS + 1)
     pp_edges = np.linspace(-p_lim, p_lim, _PAIR_P_BINS + 1)
 
-    # diameter-free reference, computed once and reused for every sigma
-    dsmc_sampler = UniformMaxwellian(length=1.0, temperature=temp)
-    sol = solve_limit_equation(dsmc_sampler, t, eps, seed=seed,
-                               n_samples=dsmc_samples, n_cells=_DSMC_CELLS,
-                               density=density)
-    ref_state = sol.final_state
-    ref_p, _ = np.histogram(ref_state.p, bins=p_edges)
-    ref_probs = np.outer(np.full(_Q_BINS, 1.0 / _Q_BINS),
-                         ref_p / ref_p.sum()).ravel()
-    ref_temperature = granular_temperature(ref_state)
-
+    # per row, one child per replica, then the estimator's own
     master = np.random.SeedSequence(seed)
+    seeds = [np.random.SeedSequence(entropy=master.entropy,
+                                    spawn_key=(si,)).spawn(replicas + 1)
+             for si in range(len(sigma_list))]
+    task = partial(_replica, n=n,
+                   sampler=UniformMaxwellian(length=length, temperature=temp),
+                   eps=eps, t=t, fine=(q_edges, p_edges),
+                   coarse=(pq_edges, pp_edges))
     report = ChaosReport()
-    sampler = UniformMaxwellian(length=length, temperature=temp)
-    for si, sigma in enumerate(sigma_list):
-        # one child per replica, then the estimator's own
-        seeds = np.random.SeedSequence(entropy=master.entropy,
-                                       spawn_key=(si,)).spawn(replicas + 1)
-        snapshots = []
-        for rs in seeds[:-1]:
-            rng = np.random.default_rng(rs)
-            state = sample_chaotic_state(n, sampler, sigma, eps, length, rng)
-            sim = Simulation(state, tc_threshold=_TC_THRESHOLD)
-            sim.run(dt=t)
-            snapshots.append(sim.state())
-        d1, d1_err = _d1_distance(np.array([
-            np.bincount(_cells(s, q_edges, p_edges),
-                        minlength=_Q_BINS * _P_BINS) / n
-            for s in snapshots]), ref_probs)
-        est_rng = np.random.default_rng(seeds[-1])
-        coarse = empirical_marginals(snapshots, pq_edges, pp_edges,
-                                     max_pairs, rng=est_rng)
-        floor = g2_iid_floor(coarse.F1.counts, replicas, n,
-                             max_pairs, est_rng)
-        energy = float(np.mean([0.5 * np.sum(s.p ** 2) / s.n
-                                for s in snapshots]))
-        report.per_sigma.append({
-            "sigma": float(sigma),
-            "t": t,
-            "D1": d1,
-            "D1_err": d1_err,
-            "G2": coarse.g2_norm,
-            "G2_floor": floor,
-            "energy_particle": energy,
-            "energy_dsmc": 0.5 * ref_temperature,
-        })
+    with _mapped(task, workers,
+                 [sigma for sigma in sigma_list for _ in range(replicas)],
+                 [rs for row in seeds for rs in row[:-1]]) as records:
+        # diameter-free reference, computed once and reused for every sigma
+        dsmc_sampler = UniformMaxwellian(length=1.0, temperature=temp)
+        sol = solve_limit_equation(dsmc_sampler, t, eps, seed=seed,
+                                   n_samples=dsmc_samples,
+                                   n_cells=_DSMC_CELLS, density=density)
+        ref_state = sol.final_state
+        ref_p, _ = np.histogram(ref_state.p, bins=p_edges)
+        ref_probs = np.outer(np.full(_Q_BINS, 1.0 / _Q_BINS),
+                             ref_p / ref_p.sum()).ravel()
+        ref_temperature = granular_temperature(ref_state)
+
+        for sigma, row in zip(sigma_list, seeds):
+            f1, cells, energies, counters = zip(
+                *itertools.islice(records, replicas))
+            d1, d1_err = _d1_distance(np.array(f1), ref_probs)
+            est_rng = np.random.default_rng(row[-1])
+            f1_counts, _, g2 = _chaos_counts(
+                cells, _PAIR_Q_BINS * _PAIR_P_BINS, max_pairs, est_rng)
+            floor = g2_iid_floor(f1_counts, replicas, n, max_pairs, est_rng)
+            report.per_sigma.append({
+                "sigma": float(sigma),
+                "t": t,
+                "D1": d1,
+                "D1_err": d1_err,
+                "G2": g2,
+                "G2_floor": floor,
+                "energy_particle": float(np.mean(energies)),
+                "energy_dsmc": 0.5 * ref_temperature,
+            })
+            n_events, n_stale_pops, n_tc_elastic = map(sum, zip(*counters))
+            report.engine_totals.append({
+                "sigma": float(sigma), "n_events": n_events,
+                "n_stale_pops": n_stale_pops, "n_tc_elastic": n_tc_elastic})
 
     rows = report.per_sigma
     report.verdicts["d1_nonincreasing"] = all(

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -344,10 +345,11 @@ def run_enskog_integral(cfg, out: Path):
     return 0
 
 
-def run_bgl_study(cfg, out: Path):
-    report = bgl.bg_study(cfg)
+def run_bgl_study(cfg, out: Path, workers: int):
+    report = bgl.bg_study(cfg, workers=workers)
     write_json(out / "report.json", _report(
-        cfg, per_sigma=report.per_sigma, verdicts=report.verdicts))
+        cfg, per_sigma=report.per_sigma, verdicts=report.verdicts,
+        engine_totals=report.engine_totals))
     write_csv(out / "report.csv", list(report.per_sigma[0]),
               [list(r.values()) for r in report.per_sigma])
     return 0 if all(report.verdicts.values()) else 1
@@ -364,6 +366,13 @@ RUNNERS = {
 }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="granulab",
@@ -376,8 +385,10 @@ def build_parser():
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker count; never affects results")
+        sp.add_argument("--threads", type=int, default=_usable_cpus(),
+                        help="worker processes for the replicas of "
+                             "bgl-study (default: the usable CPUs); never "
+                             "affects results")
         sp.add_argument("--verify", action="store_true",
                         help="recompute and print the config hash only")
     return parser
@@ -389,10 +400,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.subcommand, args.config, args.overrides,
                           args.seed)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, "
+                              f"got {args.threads}")
         if args.verify:
             print(config_hash(cfg))
             return 0
         out.mkdir(parents=True, exist_ok=True)
+        if args.subcommand == "bgl-study":
+            return run_bgl_study(cfg, out, workers=args.threads)
         return RUNNERS[args.subcommand](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

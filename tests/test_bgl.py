@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from granulab.bgl import (
     g2_iid_floor,
 )
 from granulab.core import Inelasticity, SystemState
-from granulab.errors import ConfigError
+from granulab.errors import ConfigError, EventStormError
 
 from golden import digest, hex_floats
 
@@ -178,13 +180,70 @@ class TestBgStudy:
         r2 = bg_study(self.base)
         assert r1.per_sigma == r2.per_sigma
 
+    def test_worker_count_invariance(self):
+        reports = [bg_study(self.base, workers=w) for w in (1, 2, 3)]
+        # no worker and no pool thread is left for the next fork to copy
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+        for report in reports[1:]:
+            assert (json.dumps(report.per_sigma)
+                    == json.dumps(reports[0].per_sigma))
+            assert report.engine_totals == reports[0].engine_totals
+            assert report.verdicts == reports[0].verdicts
+
+    def test_engine_totals_are_the_replicas_counters(self, monkeypatch):
+        # the totals of each row are the sums of the counters its replicas'
+        # engines hold after their runs
+        runs = []
+
+        class Recorded(bgl.Simulation):
+            def run(self, *args, **kwargs):
+                out = super().run(*args, **kwargs)
+                runs.append((self.n_events, self.n_stale_pops,
+                             self.n_tc_elastic))
+                return out
+
+        monkeypatch.setattr(bgl, "Simulation", Recorded)
+        cfg = dict(self.base, replicas=3, n_particles=200, length=200.0)
+        totals = bg_study(cfg).engine_totals
+        assert [row["sigma"] for row in totals] == [0.04, 0.02]
+        for row, counts in zip(totals, (runs[:3], runs[3:])):
+            assert (row["n_events"], row["n_stale_pops"],
+                    row["n_tc_elastic"]) == tuple(map(sum, zip(*counts)))
+            assert 0 <= row["n_tc_elastic"] <= row["n_events"]
+            assert row["n_events"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_reaches_caller(self, monkeypatch, workers):
+        # forked workers inherit the patched engine; the pool cancels the
+        # pending replicas and leaves no process behind
+        class Failing(bgl.Simulation):
+            def run(self, *args, **kwargs):
+                raise EventStormError("replica aborted")
+
+        monkeypatch.setattr(bgl, "Simulation", Failing)
+        with pytest.raises(EventStormError, match="^replica aborted$"):
+            bg_study(self.base, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [{"replicas": 0}, {"n_particles": 1},
+                                     {"sigma_list": []}])
+    def test_empty_study_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            bg_study(dict(self.base, **bad))
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            bg_study(self.base, workers=0)
+
     def test_per_sigma_golden(self):
         # bitwise pin of every row value (repr round-trips a float exactly)
         cfg = dict(self.base, replicas=4, n_particles=2000, length=2000.0)
-        rows = bg_study(cfg).per_sigma
-        blob = json.dumps(rows, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == (
-            "32aab8d7041613f716f1e4bef6427b2100f3cf17b6cf248606ed2aa95c294616")
+        for workers in (1, 2):
+            rows = bg_study(cfg, workers=workers).per_sigma
+            blob = json.dumps(rows, sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == (
+                "32aab8d7041613f716f1e4bef6427b2100f3cf17b6cf248606ed2aa95c294616")
 
     def test_estimator_stream_is_its_own(self, monkeypatch):
         # the pair subsampling and the floor's synthetic data must not
@@ -200,18 +259,21 @@ class TestBgStudy:
 
         monkeypatch.setattr(bgl, "sample_chaotic_state",
                             record("replica", bgl.sample_chaotic_state))
-        monkeypatch.setattr(bgl, "empirical_marginals",
-                            record("estimator", bgl.empirical_marginals))
+        monkeypatch.setattr(bgl, "_chaos_counts",
+                            record("estimator", bgl._chaos_counts))
         bg_study(self.base)
         assert len(keys["replica"]) == 2 * self.base["replicas"]
         assert not set(keys["estimator"]) & set(keys["replica"])
-        assert len(keys["estimator"]) == 2  # one marginals call per row
+        # per row, one count of the replicas' pairs and one per floor trial
+        assert len(keys["estimator"]) == 2 * (1 + bgl._FLOOR_TRIALS)
 
     def test_per_sigma_golden_without_g2(self):
         # bitwise pin of every row value that reads no estimator randomness
         cfg = dict(self.base, replicas=4, n_particles=2000, length=2000.0)
-        rows = [{k: v for k, v in row.items() if k not in ("G2", "G2_floor")}
-                for row in bg_study(cfg).per_sigma]
-        blob = json.dumps(rows, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == (
-            "77bb5605ca7c4bfb6197459f3775078ac46f1d7585456288efb3de38c82d063e")
+        for workers in (1, 2):
+            rows = [{k: v for k, v in row.items()
+                     if k not in ("G2", "G2_floor")}
+                    for row in bg_study(cfg, workers=workers).per_sigma]
+            blob = json.dumps(rows, sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == (
+                "77bb5605ca7c4bfb6197459f3775078ac46f1d7585456288efb3de38c82d063e")

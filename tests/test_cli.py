@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import granulab
-from granulab import cumulants
-from granulab.cli import config_hash, load_config, main
-from granulab.errors import ConfigError
+from granulab import bgl, cumulants
+from granulab.cli import build_parser, config_hash, load_config, main
+from granulab.errors import ConfigError, EventStormError
 
 
 def read_json(path):
@@ -231,15 +232,49 @@ class TestCheckCommands:
 
 
 class TestBglStudy:
+    small = ["bgl-study", "--set", "sigma_list=[0.04,0.02]",
+             "--set", "n_particles=300", "--set", "length=300.0",
+             "--set", "replicas=4", "--set", "t=0.3",
+             "--set", "dsmc_samples=10000", "--set", "max_pairs=3000"]
+
     def test_small_study(self, tmp_path):
-        rc = main(["bgl-study", "--out", str(tmp_path),
-                   "--set", "sigma_list=[0.04,0.02]",
-                   "--set", "n_particles=300", "--set", "length=300.0",
-                   "--set", "replicas=4", "--set", "t=0.3",
-                   "--set", "dsmc_samples=10000",
-                   "--set", "max_pairs=3000"])
+        rc = main(self.small + ["--out", str(tmp_path)])
         rep = read_json(tmp_path / "report.json")
         assert rc in (0, 1)  # verdicts are statistical at this size
         assert [row["sigma"] for row in rep["per_sigma"]] == [0.04, 0.02]
         rows = read_rows(tmp_path / "report.csv")
         assert len(rows) == 2
+        totals = rep["engine_totals"]
+        assert [row["sigma"] for row in totals] == [0.04, 0.02]
+        assert all(0 <= row["n_tc_elastic"] <= row["n_events"]
+                   for row in totals)
+
+    def test_threads_flag_is_inert(self, tmp_path):
+        for threads in ("1", "2"):
+            assert main(self.small + ["--out", str(tmp_path / threads),
+                                      "--threads", threads]) in (0, 1)
+        assert multiprocessing.active_children() == []
+        for name in ("report.json", "report.csv"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
+    def test_threads_default_to_usable_cpus(self):
+        args = build_parser().parse_args(["bgl-study"])
+        assert args.threads == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cmd", ["bgl-study", "simulate"])
+    def test_threads_below_one_is_a_config_error(self, tmp_path, cmd):
+        assert main([cmd, "--out", str(tmp_path), "--threads", "0"]) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_worker_abort(self, tmp_path, monkeypatch):
+        class Failing(bgl.Simulation):
+            def run(self, *args, **kwargs):
+                raise EventStormError("replica aborted")
+
+        monkeypatch.setattr(bgl, "Simulation", Failing)
+        rc = main(self.small + ["--out", str(tmp_path), "--threads", "2"])
+        assert rc == 3
+        assert multiprocessing.active_children() == []
+        assert read_json(tmp_path / "abort.json") == {
+            "error": "EventStormError", "message": "replica aborted"}
