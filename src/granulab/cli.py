@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from .core import (
     dissipation,
     precollide,
     sample_chaotic_state,
-    unit_normal,
 )
 from .dynamics import Simulation, TrajectoryLog
 from .errors import ConfigError, GranulabError
@@ -97,9 +97,8 @@ def load_config(subcommand: str, path: str | None, overrides, seed):
         cfg["seed"] = int(seed)
     if "eps" in cfg:
         Inelasticity(float(cfg["eps"]))  # range check: [0, 0.5)
-    for key in ("eps_list",):
-        for e in cfg.get(key, []):
-            Inelasticity(float(e))
+    for e in cfg.get("eps_list", []):
+        Inelasticity(float(e))
     return cfg
 
 
@@ -208,7 +207,7 @@ def _collision_report(cfg) -> dict:
         eps = Inelasticity(epsv)
         p1, p2 = rng.normal(size=d), rng.normal(size=d)
         eta = rng.normal(size=d)
-        eta = unit_normal(eta / np.linalg.norm(eta))
+        eta = eta / np.linalg.norm(eta)
         if eta @ (p1 - p2) < 0:
             eta = -eta
         s1, s2 = collide(p1, p2, eta, eps)
@@ -227,12 +226,6 @@ def _collision_report(cfg) -> dict:
               and worst["dissipation"] <= 1e-12)
     return _report(cfg, n_samples=cases, checks=worst, passed=bool(passed),
                    jacobian_example=collision_jacobian(Inelasticity(0.25)))
-
-
-def run_collision_check(cfg, out: Path):
-    report = _collision_report(cfg)
-    write_json(out / "report.json", report)
-    return 0 if report["passed"] else 1
 
 
 def _generating_check(rng, eps) -> bool:
@@ -295,12 +288,6 @@ def _cumulant_report(cfg) -> dict:
                    generating_identity=identity_ok, passed=bool(passed))
 
 
-def run_cumulant_check(cfg, out: Path):
-    report = _cumulant_report(cfg)
-    write_json(out / "report.json", report)
-    return 0 if report["passed"] else 1
-
-
 def _duality_report(cfg) -> dict:
     sampler = UniformMaxwellian(length=1.0,
                                 temperature=float(cfg["temperature"]))
@@ -325,8 +312,9 @@ def _duality_report(cfg) -> dict:
                    max_abs_z=max_z, passed=bool(max_z < 3.0))
 
 
-def run_duality(cfg, out: Path):
-    report = _duality_report(cfg)
+def _run_check(make_report, cfg, out: Path):
+    """Write a check's report; exit 0 when it passed, else 1."""
+    report = make_report(cfg)
     write_json(out / "report.json", report)
     return 0 if report["passed"] else 1
 
@@ -358,9 +346,9 @@ def run_bgl_study(cfg, out: Path, workers: int):
 RUNNERS = {
     "simulate": run_simulate,
     "dsmc": run_dsmc,
-    "collision-check": run_collision_check,
-    "cumulant-check": run_cumulant_check,
-    "duality": run_duality,
+    "collision-check": partial(_run_check, _collision_report),
+    "cumulant-check": partial(_run_check, _cumulant_report),
+    "duality": partial(_run_check, _duality_report),
     "enskog-integral": run_enskog_integral,
     "bgl-study": run_bgl_study,
 }

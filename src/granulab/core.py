@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import InvalidCollisionError, SamplingFailureError
 
-_UNIT_TOL = 1e-12
 _MAX_ATTEMPTS = 100_000  # whole-configuration draws of the rejection path
 
 
@@ -41,15 +40,6 @@ class Inelasticity:
             )
 
 
-def unit_normal(eta) -> np.ndarray:
-    """Validate and return a unit normal vector."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    norm = float(np.linalg.norm(eta))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"collision normal must be a unit vector, |eta|={norm}")
-    return eta
-
-
 def _normal_component(p1, p2, eta):
     # <eta, p1 - p2>, broadcasting over leading axes
     return np.add.reduce(eta * (np.asarray(p1) - np.asarray(p2)), axis=-1)
@@ -66,21 +56,7 @@ def collide(p1, p2, eta, eps: Inelasticity, check: bool = True):
     evaluated in one call.  With ``check=True`` a violated approach condition
     raises :class:`InvalidCollisionError`.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    g = _normal_component(p1, p2, eta)
-    if check and np.any(g < 0.0):
-        raise InvalidCollisionError(
-            "approach condition <eta, p1-p2> >= 0 violated"
-        )
-    if eps.epsilon == 0.0 and p1.shape[-1] == 1:
-        # elastic head-on exchange: swap outright so the momentum multiset
-        # is preserved bitwise (the kick form rounds p1 - (p1 - p2))
-        b1, b2 = np.broadcast_arrays(p1, p2)
-        return b2.copy(), b1.copy()
-    kick = (1.0 - eps.epsilon) * eta * g[..., None]
-    return p1 - kick, p2 + kick
+    return _collision(p1, p2, eta, eps.epsilon, inverse=False, check=check)
 
 
 def precollide(p1, p2, eta, eps: Inelasticity):
@@ -91,28 +67,46 @@ def precollide(p1, p2, eta, eps: Inelasticity):
     relative velocity is scaled by -1/(1 - 2*eps), which is the origin of
     the 1/(1-2*eps)**2 weight in the adjoint collision kernel.
     """
+    return _collision(p1, p2, eta, eps.epsilon, inverse=True, check=False)
+
+
+def _collision(p1, p2, eta, epsilon, inverse, check):
+    """The body of :func:`collide` and :func:`precollide`: rods (a last axis
+    of length 1, where ``eta`` is +-1 and drops out exactly) go to
+    :func:`collide_rods` and come back in the broadcast shape of ``p1`` and
+    ``p2``; every other dimension takes the vector kick."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     eta = np.asarray(eta, dtype=float)
     g = _normal_component(p1, p2, eta)
-    factor = (1.0 - eps.epsilon) / (1.0 - 2.0 * eps.epsilon)
+    if check and np.any(g < 0.0):
+        raise InvalidCollisionError(
+            "approach condition <eta, p1-p2> >= 0 violated"
+        )
+    if p1.shape[-1] == 1:
+        v1, v2 = collide_rods(p1, p2, epsilon, inverse)
+        if epsilon == 0.0:  # the exchange hands back the inputs themselves
+            v1, v2 = (a.copy() for a in np.broadcast_arrays(v1, v2))
+        return v1, v2
+    factor = ((1.0 - epsilon) / (1.0 - 2.0 * epsilon) if inverse
+              else 1.0 - epsilon)
     kick = factor * eta * g[..., None]
     return p1 - kick, p2 + kick
 
 
 def collide_rods(v1, v2, epsilon: float, inverse: bool = False):
-    """The rod-pair collision map of every 1D path, with ``eta = [1.0]``.
+    """The rod-pair collision map of every 1D path (``eta`` = +-1 drops out).
 
-    Returns ``(v1*, v2*)`` as :func:`collide` (or, with ``inverse``,
-    :func:`precollide`) gives them, on Python floats (the event loop, which
-    computes the energy change itself) or on arrays of pairs
-    (``evolve_rods_ensemble`` and the DSMC rounds).  Each float operation is
-    the array form's with ``eta = [1.0]`` (multiplying by 1.0 is exact), so
-    the results are bitwise equal; at ``epsilon == 0`` the forward map
-    exchanges the momenta outright.  The approach condition is not checked.
+    Returns ``(v1*, v2*)`` of the forward map (or, with ``inverse``, of its
+    inverse), on Python floats (the event loop, which computes the energy
+    change itself) or on arrays of pairs (``evolve_rods_ensemble``, the DSMC
+    rounds and :func:`collide` on rods).  At ``epsilon == 0`` both maps are
+    the elastic exchange, done outright so the momentum multiset is kept
+    bitwise (the kick form rounds v1 - (v1 - v2)).  The approach condition
+    is not checked.
     """
-    if epsilon == 0.0 and not inverse:
-        return v2, v1  # the exchange of :func:`collide`
+    if epsilon == 0.0:
+        return v2, v1
     kick = ((1.0 - epsilon) / (1.0 - 2.0 * epsilon) if inverse
             else 1.0 - epsilon) * (v1 - v2)
     return v1 - kick, v2 + kick

@@ -277,3 +277,8 @@ class TestBgStudy:
             blob = json.dumps(rows, sort_keys=True).encode()
             assert hashlib.sha256(blob).hexdigest() == (
                 "77bb5605ca7c4bfb6197459f3775078ac46f1d7585456288efb3de38c82d063e")
+
+
+def test_d1_single_replica_has_no_stderr():
+    ref = np.full(4, 0.25)
+    assert _d1_distance(np.array([[0.5, 0.5, 0.0, 0.0]]), ref) == (1.0, np.inf)

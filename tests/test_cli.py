@@ -58,6 +58,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key=value"):
             load_config("dsmc", None, ["n_samples"], None)
 
+    def test_set_keeps_non_json_as_text(self):
+        cfg = load_config("simulate", None, ["box=none"], None)
+        assert cfg["box"] == "none"
+
     def test_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 
@@ -67,6 +71,15 @@ class TestExitCodes:
         rc = main(["dsmc", "--out", str(tmp_path), "--set", "eps=0.5"])
         assert rc == 2
         assert "0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dsmc", "--set", "eps=abc"],
+        ["duality", "--set", "eps_list=[0.1, 0.5]"],
+        ["simulate", "--set", "sigma=0"],
+    ], ids=["eps-text", "eps-list-range", "sigma"])
+    def test_refusals_are_2(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_bad_config_file_is_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -261,6 +274,11 @@ class TestBglStudy:
     def test_threads_default_to_usable_cpus(self):
         args = build_parser().parse_args(["bgl-study"])
         assert args.threads == len(os.sched_getaffinity(0))
+
+    def test_threads_default_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        args = build_parser().parse_args(["bgl-study"])
+        assert args.threads == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("cmd", ["bgl-study", "simulate"])
     def test_threads_below_one_is_a_config_error(self, tmp_path, cmd):

@@ -12,7 +12,6 @@ from granulab.core import (
     dissipation,
     precollide,
     sample_chaotic_state,
-    unit_normal,
 )
 from granulab import core
 from granulab.dynamics import Simulation, evolve_rods_ensemble
@@ -153,15 +152,29 @@ class TestCollideRods:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25])
     def test_one_map_on_every_path(self, eps):
-        # one collision of two rods whose kick rounds: the event loop, the
-        # ensemble evolver and the DSMC rounds give the same momenta, bitwise
+        # one collision of two rods whose kick rounds: both engines, the
+        # ensemble evolver, the DSMC rounds and the array maps give the
+        # momenta of collide_rods, forward and inverse, bitwise
         v = np.array([1.0, 1e-17])
         expect = np.array(collide_rods(v[0], v[1], eps))
+        expect_inv = np.array(collide_rods(v[0], v[1], eps, inverse=True))
+        inel = Inelasticity(eps)
+        for eta, (a, b) in (([1.0], (0, 1)), ([-1.0], (1, 0))):
+            w = collide(v[[a]], v[[b]], eta, inel)
+            assert np.concatenate(w)[[a, b]].tobytes() == expect.tobytes()
+            w = precollide(v[[a]], v[[b]], eta, inel)
+            assert np.concatenate(w)[[a, b]].tobytes() == expect_inv.tobytes()
         q = np.array([0.0, 1.0])
-        sim = Simulation(SystemState(q[:, None], v[:, None], 0.1,
-                                     Inelasticity(eps)))
-        assert sim.run(dt=2.0) == 1
-        assert sim.state().p[:, 0].tobytes() == expect.tobytes()
+        for engine in ("adjacent", "allpairs"):
+            sim = Simulation(SystemState(q[:, None], v[:, None], 0.1, inel),
+                             engine=engine)
+            assert sim.run(dt=2.0) == 1
+            assert sim.state().p[:, 0].tobytes() == expect.tobytes()
+            # the inverse flow negates p, so -v runs into the same contact
+            sim = Simulation(SystemState(q[:, None], -v[:, None], 0.1, inel),
+                             rule="inverse", engine=engine)
+            assert sim.run(dt=2.0) == 1
+            assert (-sim.state().p[:, 0]).tobytes() == expect_inv.tobytes()
         _, p, ncol = evolve_rods_ensemble(q[None], v[None], 2.0, 0.1,
                                           Inelasticity(eps))
         assert ncol[0] == 1 and p[0].tobytes() == expect.tobytes()
@@ -170,7 +183,7 @@ class TestCollideRods:
                            np.array([1.0]), eps)
         assert p.tobytes() == expect.tobytes()
         if eps == 0.0:
-            assert expect.tolist() == [1e-17, 1.0]
+            assert expect.tolist() == expect_inv.tolist() == [1e-17, 1.0]
 
 
 class TestDissipation:
@@ -392,7 +405,11 @@ class TestGapPositions:
         assert q.min() >= 0.0 and q.max() < 1.0
 
 
-def test_unit_normal_validation():
-    with pytest.raises(ValueError):
-        unit_normal([1.0, 1.0, 0.0])
-    np.testing.assert_allclose(unit_normal([0.0, 1.0, 0.0]), [0, 1, 0])
+@pytest.mark.parametrize("q, p, sigma, box, match", [
+    ([[0.0], [1.0]], [[0.0]], 0.1, None, "matching shapes"),
+    ([[0.0]], [[0.0]], 0.0, None, "sigma must be positive"),
+    ([[0.0]], [[0.0]], 0.5, 1.0, "box/2"),
+], ids=["shapes", "sigma", "box"])
+def test_system_state_refusals(q, p, sigma, box, match):
+    with pytest.raises(ValueError, match=match):
+        SystemState(np.array(q), np.array(p), sigma, Inelasticity(0.0), box)

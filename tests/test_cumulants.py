@@ -498,3 +498,45 @@ class TestDualityRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class _Fast(UniformMaxwellian):
+    """Draws its particles at q = 0.5 with momentum 50, where the Gaussian
+    density underflows to 0."""
+
+    def sample(self, n, rng):
+        return np.full((n, 1), 0.5), np.full((n, 1), 50.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: generating_term_list(2), "n <= 1"),
+    (lambda: scattering_cumulant(2, 1.0, [[0.0], [1.0]], [[0.0], [0.0]],
+                                 0.1, Inelasticity(0.0)), "n <= 1"),
+    (lambda: marginal_functional_F2(
+        0.0, UniformMaxwellian(), ([0.1], [0.0]), ([0.6], [0.0]), 0.1,
+        Inelasticity(0.0), order=2), "to order 1"),
+    (lambda: marginal_functional_F2(
+        0.0, UniformMaxwellian(), ([0.1], [0.0]), ([0.6], [0.0]), 0.1,
+        Inelasticity(0.0), order=1, rng=np.random.default_rng(0)),
+     "mc_samples >= 1"),
+    (lambda: duality_residual(energy, UniformMaxwellian(), 1.0, 1, 10, 0.02,
+                              Inelasticity(0.0), seed=0), "n_particles >= 2"),
+], ids=["generating-order", "scattering-order", "marginal-order",
+        "marginal-samples", "duality-particles"])
+def test_refusals(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
+def test_guard_branches():
+    s = UniformMaxwellian()
+    assert generating_term_list(0, 3) == scattering_term_list(0, 3)
+    # on a line the transported density vanishes off its support
+    assert marginal_functional_F2(0.0, s, ([1.5], [0.0]), ([2.0], [0.0]),
+                                  0.1, Inelasticity(0.0)) == (0.0, 0.0)
+    # an extra particle where the transported density is 0 adds 0
+    base = marginal_functional_F2(0.0, s, ([0.1], [0.0]), ([0.3], [0.0]),
+                                  0.1, Inelasticity(0.0))
+    assert marginal_functional_F2(
+        0.0, _Fast(), ([0.1], [0.0]), ([0.3], [0.0]), 0.1, Inelasticity(0.0),
+        order=1, mc_samples=2, rng=np.random.default_rng(0)) == base

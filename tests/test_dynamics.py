@@ -507,6 +507,34 @@ class TestElasticLineOracle:
         assert sim.n_events == crossings[0] > 1000
         np.testing.assert_allclose(out.q[:, 0], q_t[0], rtol=0, atol=1e-9)
 
+    def test_inverse_at_study_scale(self):
+        # the inverse flow at eps=0 is the forward flow of -p: the momenta
+        # are the time-reversed free flight's negated back, bitwise
+        n, length, sigma, t = 10_000, 1.0e4, 0.02, 1.0
+        rng = np.random.default_rng(37)
+        q = _gap_positions(1, n, length, sigma, rng)
+        p = rng.normal(size=q.shape)
+        log = TrajectoryLog()
+        out = advance_inverse(SystemState(q.T, p.T, sigma, Inelasticity(0.0)),
+                              t, log=log)
+        q_t, p_t, crossings = elastic_line(q, -p, t, sigma)
+        assert out.p[:, 0].tobytes() == (-p_t[0]).tobytes()
+        assert log.n_events == crossings[0] > 1000
+        np.testing.assert_allclose(out.q[:, 0], q_t[0], rtol=0, atol=1e-9)
+
+    def test_inverse_keeps_momentum_multiset(self):
+        # 2000 elastic rods: each contact exchanges, so no momentum changes
+        # value in either direction (a kick p1 - (p1 - p2) rounds)
+        rng = np.random.default_rng(3)
+        q = _gap_positions(1, 2000, 2000.0, 0.02, rng)
+        p = rng.normal(size=q.shape)
+        s = SystemState(q.T, p.T, 0.02, Inelasticity(0.0))
+        for flow in (advance, advance_inverse):
+            log = TrajectoryLog()
+            out = flow(s, 1.0, log=log)
+            assert log.n_events > 100
+            assert np.sort(out.p[:, 0]).tobytes() == np.sort(p[0]).tobytes()
+
 
 EVOLVER_DIGESTS = [
     (2, 0.0, 0.5,
@@ -691,7 +719,7 @@ class TestGoldenTrajectories:
         assert sim.n_tc_elastic == _tc_elastic_in_log(log, 1e-9)
 
     @pytest.mark.parametrize("eps, pin", [
-        (0.0, "90d0f0a62a2d69449d610727ac9bb23a6b9137e5204dc003285690b4fd0a6ff2"),
+        (0.0, "e809e09d7d1156566b06b153881d6b28b033cb0bb42d571295c1ccb480c0b76c"),
         (0.1, "2de872d5d82f9a1a20921af7eddded27a00ec25b5c906fd6d3262628b50c04dd"),
     ])
     def test_round_trip_unbounded_rods(self, eps, pin):
@@ -704,19 +732,23 @@ class TestGoldenTrajectories:
         fwd = advance(s, 1.0, log=fwd_log)
         back = advance_inverse(fwd, 1.0, log=back_log)
         assert fwd_log.n_events == back_log.n_events == 4
+        if eps == 0.0:  # elastic contacts exchange momenta both ways
+            assert back.p.tobytes() == s.p.tobytes()
         assert digest(fwd.q, fwd.p, back.q, back.p, *_log_columns(fwd_log),
                       *_log_columns(back_log)) == pin
 
 
 # (n, box, eps, rule, tc_threshold, first 16 hex digits of the sha256 of the
 # log columns, final q and p, clock and event count), recorded from the
-# engine that called a prediction method per pair.  Inverse rings at eps > 0
-# are left out: each contact multiplies the relative speed by 1/(1-2*eps)
-# until the momenta overflow (see TestInverseOverflow).
+# engine that called a prediction method per pair; the eps = 0 inverse pins
+# were re-recorded when the inverse flow took the exact elastic exchange
+# (same events and clock, q within 3.1e-15 and p within 4.4e-16).  Inverse
+# rings at eps > 0 are left out: each contact multiplies the relative speed
+# by 1/(1-2*eps) until the momenta overflow (see TestInverseOverflow).
 TRAJECTORY_DIGESTS = [
     (2, None, 0.0, "forward", None, "83e2d058a0a9e597"),
     (2, None, 0.0, "forward", 1e-09, "83e2d058a0a9e597"),
-    (2, None, 0.0, "inverse", None, "c72b6beec30ac5ca"),
+    (2, None, 0.0, "inverse", None, "369077d38202aea3"),
     (2, None, 0.1, "forward", None, "83e2d058a0a9e597"),
     (2, None, 0.1, "forward", 1e-09, "83e2d058a0a9e597"),
     (2, None, 0.1, "inverse", None, "8860cdf408bbca4d"),
@@ -725,7 +757,7 @@ TRAJECTORY_DIGESTS = [
     (2, None, 0.25, "inverse", None, "59d4d9a1d8cc1969"),
     (2, 1.0, 0.0, "forward", None, "3ea5f35bae799a90"),
     (2, 1.0, 0.0, "forward", 1e-09, "3ea5f35bae799a90"),
-    (2, 1.0, 0.0, "inverse", None, "6ec6f2cff0b4eb72"),
+    (2, 1.0, 0.0, "inverse", None, "4565eb0a6477eb30"),
     (2, 1.0, 0.1, "forward", None, "830a2b998bc5a164"),
     (2, 1.0, 0.1, "forward", 1e-09, "830a2b998bc5a164"),
     (2, 1.0, 0.25, "forward", None, "53f39150d4fa7262"),
@@ -757,14 +789,14 @@ TRAJECTORY_DIGESTS = [
     (4, None, 0.25, "inverse", None, "eb72d55cea1cc450"),
     (4, 1.0, 0.0, "forward", None, "a9b1a77a9261491d"),
     (4, 1.0, 0.0, "forward", 1e-09, "a9b1a77a9261491d"),
-    (4, 1.0, 0.0, "inverse", None, "64c0bd8dcf4e983e"),
+    (4, 1.0, 0.0, "inverse", None, "bf8c57e65689b2ac"),
     (4, 1.0, 0.1, "forward", None, "a2aab7f176161eb5"),
     (4, 1.0, 0.1, "forward", 1e-09, "a2aab7f176161eb5"),
     (4, 1.0, 0.25, "forward", None, "e8126b3cb1e942cf"),
     (4, 1.0, 0.25, "forward", 1e-09, "e8126b3cb1e942cf"),
     (9, None, 0.0, "forward", None, "9f224ee14f1de5c1"),
     (9, None, 0.0, "forward", 1e-09, "9f224ee14f1de5c1"),
-    (9, None, 0.0, "inverse", None, "6a8ecef6110b6db9"),
+    (9, None, 0.0, "inverse", None, "0e8b6ad76d2c67ba"),
     (9, None, 0.1, "forward", None, "28d8f87c04cbcf26"),
     (9, None, 0.1, "forward", 1e-09, "28d8f87c04cbcf26"),
     (9, None, 0.1, "inverse", None, "256524a29a915f48"),
@@ -773,7 +805,7 @@ TRAJECTORY_DIGESTS = [
     (9, None, 0.25, "inverse", None, "21c8f6a9437e673b"),
     (9, 1.0, 0.0, "forward", None, "433bc9e055cec57a"),
     (9, 1.0, 0.0, "forward", 1e-09, "433bc9e055cec57a"),
-    (9, 1.0, 0.0, "inverse", None, "f3938e364645094e"),
+    (9, 1.0, 0.0, "inverse", None, "8d99b50b59ccb8a5"),
     (9, 1.0, 0.1, "forward", None, "573d0e50d528aaf4"),
     (9, 1.0, 0.1, "forward", 1e-09, "573d0e50d528aaf4"),
     (9, 1.0, 0.25, "forward", None, "f0f60f03a0b1e7f5"),
@@ -892,3 +924,44 @@ class TestRunCounts:
             sim.run(max_events=5_000)
         assert sim.n_events == 20_000
         assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
+
+
+def _pair_3d(**options):
+    s = SystemState(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 0.1,
+                    Inelasticity(0.0))
+    return Simulation(s, **options)
+
+
+def _overflowing_inverse_pair():
+    # the inverse kick is 25.5 times the relative speed 2e153, so the
+    # pre-collision energy overflows (numpy warns) and the collision is
+    # refused
+    s = SystemState(np.array([[0.0], [1.0]]), np.array([[-1e153], [1e153]]),
+                    0.1, Inelasticity(0.49))
+    sim = Simulation(s, rule="inverse", engine="allpairs")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        sim.run(dt=1.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: _pair_3d(rule="backward"), ValueError, "unknown rule"),
+    (lambda: _pair_3d(engine="adjacent"), ValueError, "requires d == 1"),
+    (lambda: _pair_3d(engine="grid"), ValueError, "unknown engine"),
+    (_overflowing_inverse_pair, EventStormError, "overflow"),
+], ids=["rule", "adjacent-3d", "engine", "allpairs-energy-overflow"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_allpairs_grazing_contact_is_skipped():
+    # the pair touches at t=0.75 (every value exact) with g_n = -0.0: the
+    # popped contact is a graze, not a collision
+    s = SystemState(np.array([[0.0, 0.0, 0.0], [0.75, 1.0, 0.0]]),
+                    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0,
+                    Inelasticity(0.0))
+    sim = Simulation(s)
+    assert sim.heap == [(0.75, 0, 1, 0, 0)]
+    assert sim.run(dt=1.0) == 0
+    assert not sim.heap and sim.state().p.tobytes() == s.p.tobytes()
