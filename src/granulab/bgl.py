@@ -43,8 +43,13 @@ _PAIR_Q_BINS, _PAIR_P_BINS = 2, 8  # coarse grid of G2
 _DSMC_CELLS = 8  # cells of the DSMC reference
 _TC_THRESHOLD = 1e-9  # elastic cutoff of the rod runs
 _FLOOR_TRIALS = 3  # synthetic data sets averaged into the G2 floor
-_CONFIG_KEYS = {"sigma_list", "eps", "t", "replicas", "seed", "n_particles",
-                "length", "temperature", "max_pairs", "dsmc_samples"}
+# the study's parameters with their defaults, which are the CLI's too
+STUDY_DEFAULTS = {
+    "sigma_list": [0.04, 0.02, 0.01], "eps": 0.25, "t": 1.0,
+    "replicas": 32, "seed": 0, "n_particles": 10_000,
+    "length": 10_000.0, "temperature": 1.0, "dsmc_samples": 100_000,
+    "max_pairs": 20_000,
+}
 
 
 def _digitize(x, edges):
@@ -191,11 +196,10 @@ def _mapped(fn, workers: int, *args):
 def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     """Scaling study: event-driven rod ensembles vs the limit equation.
 
-    Expects keys: sigma_list, eps, t, replicas, seed, n_particles, length;
-    optional temperature, max_pairs, dsmc_samples; any other key raises
-    ConfigError.  The number density n_particles / length is the
-    diameter-free scale shared with the DSMC reference, so distances across
-    sigma reflect only the particle system.
+    Reads the keys of ``STUDY_DEFAULTS``, each defaulting to its value
+    there; any other key raises ConfigError.  The number density
+    n_particles / length is the diameter-free scale shared with the DSMC
+    reference, so distances across sigma reflect only the particle system.
 
     With ``workers`` > 1 the replicas of every row run on that many worker
     processes (at most one per replica), while this process computes the
@@ -204,19 +208,19 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     of its replica (see ``_replica``), not the snapshot: unpickled snapshots
     would stay resident in this process's heap.
     """
-    cfg = dict(config)
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(set(config) - set(STUDY_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown bg_study config key(s) {unknown}")
+    cfg = {**STUDY_DEFAULTS, **config}
     sigma_list = sorted(cfg["sigma_list"], reverse=True)
     eps = Inelasticity(float(cfg["eps"]))
     t = float(cfg["t"])
     replicas = int(cfg["replicas"])
     n = int(cfg["n_particles"])
     length = float(cfg["length"])
-    temp = float(cfg.get("temperature", 1.0))
-    max_pairs = int(cfg.get("max_pairs", 20_000))
-    dsmc_samples = int(cfg.get("dsmc_samples", 100_000))
+    temp = float(cfg["temperature"])
+    max_pairs = int(cfg["max_pairs"])
+    dsmc_samples = int(cfg["dsmc_samples"])
     seed = int(cfg["seed"])
 
     if workers < 1:

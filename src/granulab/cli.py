@@ -57,12 +57,7 @@ DEFAULTS = {
         "d": 1, "eps": 0.25, "sigma": 0.05, "temperature": 1.0,
         "p1": [0.5], "mc_budget": 100_000, "seed": 0,
     },
-    "bgl-study": {
-        "sigma_list": [0.04, 0.02, 0.01], "eps": 0.25, "t": 1.0,
-        "replicas": 32, "seed": 0, "n_particles": 10_000,
-        "length": 10_000.0, "temperature": 1.0, "dsmc_samples": 100_000,
-        "max_pairs": 20_000,
-    },
+    "bgl-study": bgl.STUDY_DEFAULTS,
 }
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Inelasticity, SystemState, _gap_positions
-from .dynamics import TrajectoryLog, advance, advance_inverse, evolve_rods_ensemble
+from .dynamics import Simulation, advance, evolve_rods_ensemble
 from .errors import ConfigError
 
 # element 0 of the index set stands for the distinguished cluster {Y\Z};
@@ -154,17 +154,15 @@ def _scatter_map(q, p, idx, t, sigma, eps, box, orientation):
     """
     if t == 0.0 or len(idx) < 2:
         return q, p, 1.0
-    sub = SystemState(q[idx], p[idx], sigma, eps, box)
-    log = TrajectoryLog()
-    if orientation == "observable":
-        out = advance(sub, t, log=log)
-        qs = out.q - out.p * t
-    else:
-        out = advance_inverse(sub, t, log=log)
-        qs = out.q + out.p * t
+    forward = orientation == "observable"
+    sim = Simulation(SystemState(q[idx], p[idx], sigma, eps, box),
+                     rule="forward" if forward else "inverse")
+    sim.run(dt=t)
+    out = sim.state()
+    qs = out.q - out.p * t if forward else out.q + out.p * t
     if box is not None:
         qs = np.mod(qs, box)
-    weight = (1.0 - 2.0 * eps.epsilon) ** (-log.n_events)
+    weight = (1.0 - 2.0 * eps.epsilon) ** (-sim.n_events)
     q2, p2 = q.copy(), p.copy()
     q2[idx] = qs
     p2[idx] = out.p

@@ -256,7 +256,8 @@ class Simulation:
             vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
         else:
             vi2, vj2 = core.precollide(vi, vj, eta, eps)
-        dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
         if not math.isfinite(dE):
             raise self._overflow_error(i, j, t_ev)
         v[i] = vi2
@@ -499,16 +500,14 @@ class Simulation:
         return out
 
 
-def advance(state: SystemState, dt: float,
-            log: TrajectoryLog | None = None) -> SystemState:
+def advance(state: SystemState, dt: float) -> SystemState:
     """Evolve a state forward by dt under a default :class:`Simulation`."""
-    sim = Simulation(state, log=log)
+    sim = Simulation(state)
     sim.run(dt=dt)
     return sim.state()
 
 
-def advance_inverse(state: SystemState, dt: float,
-                    log: TrajectoryLog | None = None) -> SystemState:
+def advance_inverse(state: SystemState, dt: float) -> SystemState:
     """Evolve a state backward by dt: free flight with -p, pre-collision
     momenta at contacts.  Inverse of :func:`advance` for the same dt.
 
@@ -517,7 +516,7 @@ def advance_inverse(state: SystemState, dt: float,
     no TC rule, so it cannot invert a forward run that used
     ``tc_threshold`` (whose elastic collisions it would undo inelastically).
     """
-    sim = Simulation(state, log=log, rule="inverse")
+    sim = Simulation(state, rule="inverse")
     sim.run(dt=dt)
     out = sim.state()
     out.time = state.time - dt
