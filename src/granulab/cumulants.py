@@ -350,13 +350,19 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     """
     if n_particles < 2:
         raise ConfigError("duality harness needs n_particles >= 2")
-    rng = np.random.default_rng(seed)
+    if mc_samples < 1:
+        raise ConfigError("duality harness needs mc_samples >= 1")
     m, n = mc_samples, n_particles
     length = f1_sampler.length
     if n * sigma >= length:
         raise ConfigError(f"no allowed configuration: n*sigma >= {length}")
-    q = _gap_positions(m, n, length, sigma, rng)
-    p = rng.normal(0.0, np.sqrt(f1_sampler.temperature), size=(m, n))
+    # every block draws the rows that one draw of all m*n positions and then
+    # all m*n momenta would give it: a uniform takes one 64-bit word, so the
+    # momenta start m*n words into the seed's stream, and normal draws
+    # continue their stream
+    rng = np.random.default_rng(seed)
+    p_rng = np.random.default_rng(np.random.PCG64(seed).advance(m * n))
+    p_sd = np.sqrt(f1_sampler.temperature)
 
     def evolve(block):
         # b1 of each particle of the block when the block evolves in isolation
@@ -369,18 +375,23 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
              _cumulant_terms([j for j in range(n) if mask >> j & 1])]
     lhs, rhs = np.zeros(m), np.empty(m)
     for s in range(0, m, _ROW_BLOCK):
-        rows = slice(s, s + _ROW_BLOCK)
-        qb, pb = q[rows].T.copy(), p[rows].T.copy()  # a row per particle
-        bvals, out, term = {}, lhs[rows], np.empty(min(m - s, _ROW_BLOCK))
+        k = min(m - s, _ROW_BLOCK)  # a row per particle in qb and pb
+        qb = _gap_positions(k, n, length, sigma, rng).T.copy()
+        pb = p_rng.normal(0.0, p_sd, size=(k, n)).T.copy()
+        bvals, out, term = {}, lhs[s:s + k], np.empty(k)
         for coeff, blocks in _evolved_terms(terms, evolve, bvals):
             for vals in blocks:
                 for v in vals:
                     out += np.multiply(coeff, v, out=term)
-        rhs[rows] = sum(bvals[tuple(range(n))])
+        rhs[s:s + k] = sum(bvals[tuple(range(n))])
 
-    res = lhs - rhs
-    mean = float(res.mean())
-    scale = float(np.abs(rhs).mean()) + 1.0
-    stderr = float(res.std(ddof=1) / np.sqrt(m)) if m > 1 else np.inf
+    # mean(), std(ddof=1) and mean |rhs| with numpy's float operations,
+    # in place on lhs and rhs
+    res = np.subtract(lhs, rhs, out=lhs)
+    mean = float(np.add.reduce(res) / m)
+    scale = float(np.add.reduce(np.abs(rhs, out=rhs)) / m) + 1.0
+    np.square(np.subtract(res, mean, out=res), out=res)
+    stderr = (math.sqrt(np.add.reduce(res) / (m - 1)) / math.sqrt(m)
+              if m > 1 else math.inf)
     stderr = max(stderr, 1e-14 * scale)
     return mean, stderr

@@ -76,7 +76,8 @@ class TestExitCodes:
         ["dsmc", "--set", "eps=abc"],
         ["duality", "--set", "eps_list=[0.1, 0.5]"],
         ["simulate", "--set", "sigma=0"],
-    ], ids=["eps-text", "eps-list-range", "sigma"])
+        ["duality", "--set", "mc_samples=0"],
+    ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples"])
     def test_refusals_are_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())

@@ -489,15 +489,46 @@ class TestDualityRowBlocks:
         monkeypatch.setattr(cm, "_ROW_BLOCK", m)
         assert hex_floats(*blocked) == hex_floats(*self.residual(m))
 
-    def test_working_set_is_bounded(self):
-        # one block holding all 10**5 samples peaks at about 36 MB
+    @classmethod
+    def traced_peak(cls, m, n=3):
         tracemalloc.start()
         try:
-            self.residual(100_000)
-            peak = tracemalloc.get_traced_memory()[1]
+            cls.residual(m, n)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+
+    def test_working_set_is_bounded(self):
+        # one block holding all 10**5 samples peaks at about 36 MB
+        assert self.traced_peak(100_000) < 16e6
+        # past one block a sample holds only its lhs and rhs, 16 B
+        growth = self.traced_peak(400_000, 2) - self.traced_peak(100_000, 2)
+        assert growth <= 24 * 300_000
+
+    def test_one_sample(self):
+        res, err = self.residual(1)
+        assert np.isfinite(res) and err == np.inf
+
+
+class TestStreamProperties:
+    """The two properties of numpy's PCG64 stream that let
+    ``duality_residual`` draw block by block exactly the numbers of one
+    draw of all its samples."""
+
+    @pytest.mark.parametrize("k", [1, 17, 3 * 8192])
+    def test_uniform_takes_one_word(self, k):
+        drawn = np.random.PCG64(5)
+        np.random.Generator(drawn).uniform(0.0, 0.9, size=(k, 3))
+        skipped = np.random.PCG64(5).advance(3 * k)
+        assert np.array_equal(drawn.random_raw(8), skipped.random_raw(8))
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (17, 8192), (2 * 8192, 5)])
+    def test_normal_draws_continue_the_stream(self, a, b):
+        rng = np.random.default_rng(5)
+        split = np.concatenate([rng.normal(0.0, 1.5, size=a),
+                                rng.normal(0.0, 1.5, size=b)])
+        whole = np.random.default_rng(5).normal(0.0, 1.5, size=a + b)
+        assert split.tobytes() == whole.tobytes()
 
 
 class _Fast(UniformMaxwellian):
@@ -521,8 +552,10 @@ class _Fast(UniformMaxwellian):
      "mc_samples >= 1"),
     (lambda: duality_residual(energy, UniformMaxwellian(), 1.0, 1, 10, 0.02,
                               Inelasticity(0.0), seed=0), "n_particles >= 2"),
+    (lambda: duality_residual(energy, UniformMaxwellian(), 1.0, 2, 0, 0.02,
+                              Inelasticity(0.0), seed=0), "mc_samples >= 1"),
 ], ids=["generating-order", "scattering-order", "marginal-order",
-        "marginal-samples", "duality-particles"])
+        "marginal-samples", "duality-particles", "duality-samples"])
 def test_refusals(call, match):
     with pytest.raises(ConfigError, match=match):
         call()

@@ -931,6 +931,53 @@ class TestInverseOverflow:
             _pinned_trajectory(n, box, eps, rule, tc)
 
 
+class TestInverseRingOracle:
+    """ROADMAP item 18's 2-rod ring under the inverse flow, in closed form.
+    Each contact reverses the relative momentum g and scales it by
+    1/(1-2*eps), and between contacts the pair covers a lap of L - 2*sigma,
+    so the contacts accumulate at t* = d0/g0 + (L - 2 sigma)(1 - 2 eps) /
+    (2 eps g0).  Below t* both engines must match the closed form; the
+    refusal past t* belongs to item 18's guard."""
+
+    Q, P = (0.0679599, 0.1116856), (1.3033, -1.6197)
+    SIGMA, BOX, EPS = 0.01, 0.148428, 0.1
+    CONTACTS = [(0.05, 1), (0.1, 3), (0.15, 5), (0.2, 14), (0.205, 19),
+                (0.208, 32), (0.20814, 46)]
+
+    @classmethod
+    def closed_form(cls, dt):
+        """Contacts within dt and the final momenta."""
+        r, g = 1.0 - 2.0 * cls.EPS, cls.P[0] - cls.P[1]
+        lap = cls.BOX - 2.0 * cls.SIGMA
+        # the inverse flow moves the rods by -p dt: they meet across the wrap
+        t = (cls.BOX - (cls.Q[1] - cls.Q[0]) - cls.SIGMA) / g
+        contacts = 0
+        while t <= dt:
+            contacts, g = contacts + 1, -g / r
+            t += lap / abs(g)
+        mean = 0.5 * (cls.P[0] + cls.P[1])
+        return contacts, np.array([mean + 0.5 * g, mean - 0.5 * g])
+
+    def test_accumulation_time(self):
+        g0, r = self.P[0] - self.P[1], 1.0 - 2.0 * self.EPS
+        d0 = self.BOX - (self.Q[1] - self.Q[0]) - self.SIGMA
+        t_star = d0 / g0 + (self.BOX - 2.0 * self.SIGMA) * r / (
+            2.0 * self.EPS * g0)
+        assert t_star == pytest.approx(0.20814721176873077, rel=1e-15)
+        assert max(dt for dt, _ in self.CONTACTS) < t_star
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    @pytest.mark.parametrize("dt, contacts", CONTACTS)
+    def test_engine_below_t_star(self, engine, dt, contacts):
+        s = SystemState(np.array(self.Q)[:, None], np.array(self.P)[:, None],
+                        self.SIGMA, Inelasticity(self.EPS), self.BOX)
+        sim = Simulation(s, rule="inverse", engine=engine)
+        sim.run(dt=dt)
+        expected, p = self.closed_form(dt)
+        assert sim.n_events == expected == contacts
+        np.testing.assert_allclose(sim.state().p[:, 0], p, rtol=1e-12, atol=0)
+
+
 class TestRunCounts:
     @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
     def test_no_tc_count_without_tc(self, engine):
