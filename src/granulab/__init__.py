@@ -2,7 +2,6 @@
 
 from .bgl import ChaosReport, bg_study, empirical_marginals
 from .core import (
-    CollisionEvent,
     Inelasticity,
     SystemState,
     UniformMaxwellian,
@@ -34,7 +33,6 @@ from .kinetic import (
 
 __all__ = [
     "ChaosReport",
-    "CollisionEvent",
     "DsmcState",
     "Inelasticity",
     "PhaseHistogram",

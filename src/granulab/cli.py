@@ -135,9 +135,12 @@ def run_simulate(cfg, out: Path):
     log = TrajectoryLog()
     sim = Simulation(state, log=log, tc_threshold=cfg["tc_threshold"],
                      storm_limit=float(cfg["storm_limit"]))
-    times = cfg["snapshot_times"] or [0.0, float(cfg["t"])]
+    times = sorted(set(float(t) for t in
+                       cfg["snapshot_times"] or [0.0, float(cfg["t"])]))
+    if times[0] < sim.t:
+        raise ConfigError(f"snapshot times {times} precede the start")
     snaps = []
-    for t_target in sorted(set(float(t) for t in times)):
+    for t_target in times:
         sim.run(dt=max(t_target - sim.t, 0.0))
         snaps.append(sim.state())
 
@@ -151,8 +154,8 @@ def run_simulate(cfg, out: Path):
     write_csv(out / "snapshots.csv", ["t", "particle", *qcols, *pcols], rows)
     etacols = [f"eta{c}" for c in "xyz"[:d]]
     write_csv(out / "events.csv", ["t", "i", "j", *etacols, "g_n", "dE"],
-              [[ev.t, ev.i, ev.j, *map(float, ev.eta), ev.g_n, ev.dE]
-               for ev in log.events])
+              [[t, i, j, *map(float, eta), g_n, dE] for t, i, j, eta, g_n, dE
+               in zip(log.t, log.i, log.j, log.eta, log.g_n, log.dE)])
     final = snaps[-1]
     write_json(out / "run.json", _report(
         cfg, n_events=log.n_events, n_stale_pops=sim.n_stale_pops,
@@ -174,12 +177,8 @@ def run_dsmc(cfg, out: Path):
         p_bins=int(cfg["p_bins"]))
     rows = []
     for h in sol.histograms:
-        for qi in range(h.counts.shape[0]):
-            for pi in range(h.counts.shape[1]):
-                c = h.counts[qi, pi]
-                if c:
-                    rows.append([h.time, qi, pi, c / h.sample_weight,
-                                 h.sample_weight])
+        for qi, pi in np.argwhere(h.counts):
+            rows.append([h.time, qi, pi, h.counts[qi, pi], h.sample_weight])
     write_csv(out / "histograms.csv",
               ["t", "q_bin", "p_bin", "count", "weight"], rows)
     write_csv(out / "moments.csv",

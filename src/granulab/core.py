@@ -131,23 +131,6 @@ def collision_jacobian(eps: Inelasticity) -> float:
 
 
 @dataclass
-class CollisionEvent:
-    """One resolved collision: time, pair, contact normal, and bookkeeping.
-
-    ``eta`` is the normal actually passed to :func:`collide` (approach
-    condition satisfied), ``g_n`` the normal relative speed at impact and
-    ``dE`` the kinetic-energy change (non-positive).
-    """
-
-    t: float
-    i: int
-    j: int
-    eta: np.ndarray
-    g_n: float
-    dE: float
-
-
-@dataclass
 class SystemState:
     """Microscopic configuration of N hard spheres (rods in 1D).
 
@@ -233,12 +216,13 @@ class UniformMaxwellian:
 
 def _gap_positions(m: int, n: int, length: float, sigma: float,
                    rng: np.random.Generator, periodic: bool = False):
-    """Exact uniform draw of m rows of n rods on [0, length) whose gaps are
-    all >= sigma: sample the free volume, sort, re-insert the excluded
-    lengths.  Rows come out sorted (labels in position order).  With
-    ``periodic`` the gap across the wrap counts too, and each row is rotated
-    by a uniform offset, wrapped and relabelled to restore exchangeability.
-    Requires n*sigma < length.
+    """Exact uniform draw of m rows of n disjoint rods [x, x + sigma) inside
+    [0, length), so every x lies in [0, length - sigma): sample the free
+    length length - n*sigma, sort, re-insert the excluded lengths.  Rows
+    come out sorted (labels in position order).  With ``periodic`` the gap
+    across the wrap counts too, and each row is rotated by a uniform offset,
+    wrapped and relabelled to restore exchangeability.  Requires
+    n*sigma < length.
     """
     u = np.sort(rng.uniform(0.0, length - n * sigma, size=(m, n)), axis=1)
     x = u + sigma * np.arange(n)

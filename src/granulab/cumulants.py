@@ -341,8 +341,10 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
     all particle subsets of the same sampled configurations (common random
     numbers), which telescopes to the full-system evolution for a fixed
     particle number.  Each subset evolves once, however many partitions
-    contain it as a block.  Positions are drawn on [0, ``f1_sampler.length``)
-    and momenta from a Gaussian of variance ``f1_sampler.temperature``.
+    contain it as a block.  Positions are n disjoint rods [x, x + sigma)
+    inside [0, ``f1_sampler.length``) (so x < length - sigma), drawn by
+    ``core._gap_positions``, and momenta from a Gaussian of variance
+    ``f1_sampler.temperature``.
     ``b1(q, p)`` must act elementwise on arrays of scalar 1D
     positions/momenta: the samples run in blocks of ``_ROW_BLOCK`` rows.
     Returns (residual, stderr), the stderr floored so the z-score is

@@ -24,13 +24,12 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
 
 from . import core
-from .core import CollisionEvent, Inelasticity, SystemState
+from .core import Inelasticity, SystemState
 from .errors import ConfigError, EventStormError
 
 _TINY = 1e-14
@@ -46,9 +45,10 @@ class TrajectoryLog:
     """Ordered collision events, stored as columns.
 
     ``t``, ``i``, ``j``, ``eta``, ``g_n`` and ``dE`` hold one entry per
-    event, in event order, with the meaning of the
-    :class:`~granulab.core.CollisionEvent` fields.  :attr:`events` is a
-    read-only sequence view that builds each event when it is accessed.
+    event, in event order: the time, the pair, the normal passed to the
+    collision algebra (approach condition met), the normal relative speed
+    at impact and the kinetic-energy change (never positive beyond
+    round-off: an elastic collision may log a few ulp either way).
     """
 
     def __init__(self):
@@ -68,8 +68,10 @@ class TrajectoryLog:
         self.dE.append(dE)
 
     @property
-    def events(self) -> "_EventView":
-        return _EventView(self)
+    def events(self) -> range:
+        """``range(n_events)``, read only by perfbench, for ``len``, until
+        ROADMAP item 6 moves it to :attr:`n_events`."""
+        return range(self.n_events)
 
     @property
     def n_events(self) -> int:
@@ -77,28 +79,6 @@ class TrajectoryLog:
 
     def total_dissipation(self) -> float:
         return sum(self.dE)
-
-
-class _EventView(Sequence):
-    """The rows of a :class:`TrajectoryLog` as :class:`CollisionEvent`s."""
-
-    def __init__(self, log: TrajectoryLog):
-        self._log = log
-
-    def __len__(self):
-        return len(self._log.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[m] for m in range(len(self))[k]]
-        log = self._log
-        return CollisionEvent(log.t[k], log.i[k], log.j[k], log.eta[k],
-                              log.g_n[k], log.dE[k])
-
-    def __iter__(self):
-        log = self._log
-        return map(CollisionEvent, log.t, log.i, log.j, log.eta, log.g_n,
-                   log.dE)
 
 
 class Simulation:

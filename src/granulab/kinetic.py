@@ -336,7 +336,8 @@ def suggest_dt(state: DsmcState, safety: float = 0.5) -> float:
 
 @dataclass
 class PhaseHistogram:
-    """Gridded weighted estimate of a phase-space density."""
+    """Sample counts on a (q, p) grid; each sample carries ``sample_weight``
+    of phase-space mass."""
 
     q_edges: np.ndarray
     p_edges: np.ndarray
@@ -356,8 +357,7 @@ class PhaseHistogram:
                      time: float = 0.0) -> "PhaseHistogram":
         counts, _, _ = np.histogram2d(np.ravel(q), np.ravel(p),
                                       bins=[q_edges, p_edges])
-        return cls(q_edges, p_edges, counts * sample_weight,
-                   sample_weight, time)
+        return cls(q_edges, p_edges, counts, sample_weight, time)
 
 
 @dataclass
@@ -380,12 +380,12 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
                          p_bins: int = 48) -> LimitSolution:
     """DSMC solve of the 1D limit equation up to t_end.
 
-    Snapshots are gridded into PhaseHistograms at the requested times
-    (default: t=0 and t_end); moments are recorded at every step.  A step
-    whose streaming trips the dt guard is retried from the same state with
-    half the dt, up to ``_MAX_DT_HALVINGS`` times; a failed attempt draws no
-    random numbers, so a run that never trips the guard is unaffected.  The
-    solution counts the halvings in ``dt_halvings``.
+    Snapshots are gridded into PhaseHistograms at the requested times in
+    [0, t_end] (default: t=0 and t_end); moments are recorded at every step.
+    A step whose streaming trips the dt guard is retried from the same state
+    with half the dt, up to ``_MAX_DT_HALVINGS`` times; a failed attempt
+    draws no random numbers, so a run that never trips the guard is
+    unaffected.  The solution counts the halvings in ``dt_halvings``.
     """
     rng = np.random.default_rng(seed)
     state = dsmc_init(f1_sampler, n_samples, n_cells, eps, rng,
@@ -396,6 +396,8 @@ def solve_limit_equation(f1_sampler, t_end: float, eps: Inelasticity,
     if snapshot_times is None:
         snapshot_times = [0.0, t_end]
     pending = sorted(set(float(t) for t in snapshot_times))
+    if pending and not 0.0 <= pending[0] <= pending[-1] <= t_end:
+        raise ConfigError(f"snapshot times {pending} leave [0, {t_end}]")
 
     sol = LimitSolution()
     while True:

@@ -77,7 +77,10 @@ class TestExitCodes:
         ["duality", "--set", "eps_list=[0.1, 0.5]"],
         ["simulate", "--set", "sigma=0"],
         ["duality", "--set", "mc_samples=0"],
-    ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples"])
+        ["dsmc", "--set", "snapshot_times=[0.5, 2.0]"],
+        ["simulate", "--set", "snapshot_times=[-1.0, 0.5]"],
+    ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples",
+            "dsmc-snapshot-late", "simulate-snapshot-early"])
     def test_refusals_are_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
@@ -186,6 +189,14 @@ class TestDsmc:
         for name in ("histograms.csv", "moments.csv", "run.json"):
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())
+
+    def test_counts_are_integers(self, tmp_path):
+        # each sample weighs 1e-5 at the default n_samples, and the count
+        # column holds samples, not weight
+        assert main(["dsmc", "--set", "t_end=0.05", "--out",
+                     str(tmp_path)]) == 0
+        hist = read_rows(tmp_path / "histograms.csv")
+        assert all(int(r["count"]) > 0 for r in hist)
 
     def test_default_config_never_halves_dt(self, tmp_path):
         assert main(["dsmc", "--out", str(tmp_path)]) == 0

@@ -127,13 +127,25 @@ def test_scanner_ignores_dict_keys():
     assert unreferenced_public_names([lib], [lib, caller], ["A"]) == ["spare"]
 
 
+# public names that no source in src/ or perfbench/ references (the
+# re-exports in __init__.py and perfbench's trace targets, which name their
+# functions as strings, are no reference), and why each stays
+KEPT_EXPORTS = {
+    "advance_inverse": "paper API: the inverse flow, with no non-test caller",
+    "marginal_functional_F2": "paper API with no non-test caller",
+    "empirical_marginals": "traced by perfbench until ROADMAP items 6 and "
+                           "20 drop it",
+}
+
+
 def test_no_test_only_names():
     package = [path.read_text() for path in PACKAGE]
-    callers = package + [path.read_text()
-                         for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    traced = [attr for _, attr, _ in trace_targets()]
-    assert unreferenced_public_names(package, callers,
-                                     granulab.__all__ + traced) == []
+    callers = [path.read_text() for path in PACKAGE
+               if path.name != "__init__.py"]
+    callers += [path.read_text()
+                for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    unused = unreferenced_public_names(package, callers, [])
+    assert unused == sorted(KEPT_EXPORTS), "unreferenced: " + ", ".join(unused)
 
 
 def defaulted_options(tree):
