@@ -173,8 +173,8 @@ def run_dsmc(cfg, out: Path):
         sampler, float(cfg["t_end"]), Inelasticity(float(cfg["eps"])),
         seed=int(cfg["seed"]), n_samples=int(cfg["n_samples"]),
         n_cells=int(cfg["n_cells"]), density=float(cfg["density"]),
-        snapshot_times=cfg["snapshot_times"], q_bins=int(cfg["q_bins"]),
-        p_bins=int(cfg["p_bins"]))
+        snapshot_times=cfg["snapshot_times"] or None,  # [] as in simulate
+        q_bins=int(cfg["q_bins"]), p_bins=int(cfg["p_bins"]))
     rows = []
     for h in sol.histograms:
         for qi, pi in np.argwhere(h.counts):

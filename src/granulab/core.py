@@ -28,15 +28,17 @@ class Inelasticity:
 
     The boundary value 1/2 (perfectly sticky) is rejected: the inverse
     collision map and the adjoint kernel weight 1/(1-2*epsilon)**2 are
-    singular there.
+    singular there.  So is the float below it, where 1 - epsilon rounds to
+    1/2 and the forward map is the sticky one.
     """
 
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 0.5:
+        if not 0.0 <= self.epsilon < 0.5 or 1.0 - self.epsilon == 0.5:
             raise ValueError(
-                f"epsilon must lie in [0, 0.5), got {self.epsilon!r}"
+                f"epsilon must lie in [0, 0.5), with 1 - epsilon not "
+                f"rounding to 0.5; got {self.epsilon!r}"
             )
 
 

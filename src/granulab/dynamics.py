@@ -11,7 +11,7 @@ counters, momentum updates through the single collision algebra in
   adjacent pairs and one heapify, and runs one fused event loop on Python
   floats and lists (every event is scalar work, which numpy scalars,
   1-element arrays and per-step calls only slow down) that collides, counts,
-  logs and re-predicts the three neighbour pairs inline;
+  logs and re-predicts the two new neighbour pairs inline;
 * an all-pairs engine for any dimension, the 1D oracle and the 3D engine,
   which predicts a particle against all its partners in one numpy call.
 
@@ -118,6 +118,8 @@ class Simulation:
         if rule == "inverse" and tc_threshold is not None:
             raise ConfigError("the inverse flow has no TC rule; "
                               "tc_threshold applies to forward runs only")
+        if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
+            raise ValueError("positions and momenta must be finite")
         if not state.is_allowed(tol=_OVERLAP_SLACK):
             raise ValueError("initial configuration has overlapping particles")
         if engine == "auto":
@@ -292,7 +294,7 @@ class Simulation:
             processed, t_last, stopped = self._run_pairs(t_end, budget)
         if stopped or t_end == math.inf:
             if t_last is not None:
-                self.t = max(self.t, t_last)
+                self.t = t_last
         else:
             self.t = t_end
         return processed
@@ -302,12 +304,15 @@ class Simulation:
         popped and applied, whether the budget stopped it).
 
         Each event's free flight, TC rule, collision, counters, storm guard,
-        log row and the re-prediction of its three neighbour pairs run
+        log row and the re-prediction of its two new neighbour pairs run
         inline on local names: a call per step costs more than the step's
-        arithmetic.  The prediction is that of the initial heap, with the
-        same float operations in the same order.  A popped entry whose
-        counters match has g_n > _TINY: every push required it, and neither
-        velocity has changed since.
+        arithmetic.  Every push is at or after its own event, so events pop
+        in time order, no local time exceeds t_ev and each pair is predicted
+        from t_ev.  A collision leaves its own pair receding (the relative
+        speed becomes -(1-2 eps) g, -g/(1-2 eps) or -g, and rounding keeps
+        the sign), so only (j, right) and (left, i) are re-predicted.  A
+        popped entry whose counters match has g_n > _TINY: every push
+        required it, and neither velocity has changed since.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
@@ -380,16 +385,8 @@ class Simulation:
                     log_eta(_ETA_1D)
                     log_g(g_n)
                     log_de(dE)
-                # re-predict (i, j), (j, right) and (left, i); on a ring of
-                # two the left pair is the right one and is pushed once.
-                # (i, j): both local times are t_ev, so tau - t is t_ev - t_ev
-                rel = vi - vj
-                if rel > tiny:
-                    off = box if j == 0 else 0.0
-                    gap = ((x[j] + off + vj * (t_ev - t_ev))
-                           - (x[i] + vi * (t_ev - t_ev)) - sigma)
-                    push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
-                                i, j, cnt[i], cnt[j]))
+                # re-predict (j, right) and (left, i); on a ring of two the
+                # left pair is the right one and is pushed once
                 b = j + 1
                 if b < n:
                     off = 0.0
@@ -400,11 +397,9 @@ class Simulation:
                 if b >= 0:
                     rel = vj - v[b]
                     if rel > tiny:
-                        tb = tl[b]
-                        tau = tb if tb > t_ev else t_ev
-                        gap = ((x[b] + off + v[b] * (tau - tb))
-                               - (x[j] + vj * (tau - t_ev)) - sigma)
-                        push(heap, (tau + (0.0 if 0.0 > gap else gap) / rel,
+                        xb = x[b] + off + v[b] * (t_ev - tl[b])
+                        gap = xb - x[j] - sigma
+                        push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
                                     j, b, cnt[j], cnt[b]))
                 if i:
                     a, off = i - 1, 0.0
@@ -415,11 +410,9 @@ class Simulation:
                 if a >= 0 and a != j:
                     rel = v[a] - vi
                     if rel > tiny:
-                        ta = tl[a]
-                        tau = t_ev if t_ev > ta else ta
-                        gap = ((x[i] + off + vi * (tau - t_ev))
-                               - (x[a] + v[a] * (tau - ta)) - sigma)
-                        push(heap, (tau + (0.0 if 0.0 > gap else gap) / rel,
+                        xa = x[a] + v[a] * (t_ev - tl[a])
+                        gap = (x[i] + off) - xa - sigma
+                        push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
                                     a, i, cnt[a], cnt[i]))
         finally:
             self.n_events += processed
@@ -506,15 +499,13 @@ def advance_inverse(state: SystemState, dt: float) -> SystemState:
 def _initial_adjacent_heap(x, v, t, sigma, box):
     """The heap of first contacts of sorted rods whose local times are all t.
 
-    One pass over the adjacent pairs with the float expressions of the event
-    loop's re-prediction (tau = t), then one heapify: every key has the bits
-    a pair-by-pair push gives it, and pop order depends only on the keys,
-    which are unique.  The pass runs on the lists: a numpy pass costs about
-    20 us whatever the size, which would triple the heap build of the
-    many few-rod runs.
+    One pass over the adjacent pairs with the event loop's prediction, from
+    t with no flight, then one heapify: every key has the bits a pair-by-pair
+    push gives it, and pop order depends only on the keys, which are unique.
+    The pass runs on the lists: a numpy pass costs about 20 us whatever the
+    size, which would triple the heap build of the many few-rod runs.
     """
     n = len(x)
-    d = t - t  # tau - t_i of every pair
     heap = []
     for i in range(n if box is not None else n - 1):
         j, off = i + 1, 0.0
@@ -522,7 +513,7 @@ def _initial_adjacent_heap(x, v, t, sigma, box):
             j, off = 0, box
         rel = v[i] - v[j]
         if rel > _TINY:
-            gap = (x[j] + off + v[j] * d) - (x[i] + v[i] * d) - sigma
+            gap = (x[j] + off) - x[i] - sigma
             heap.append((t + (0.0 if 0.0 > gap else gap) / rel, i, j, 0, 0))
     heapq.heapify(heap)
     return heap

@@ -79,8 +79,11 @@ class TestExitCodes:
         ["duality", "--set", "mc_samples=0"],
         ["dsmc", "--set", "snapshot_times=[0.5, 2.0]"],
         ["simulate", "--set", "snapshot_times=[-1.0, 0.5]"],
+        ["simulate", "--set", "momenta=[[Infinity],[0.0]]"],
+        ["simulate", "--set", "positions=[[NaN],[1.0]]"],
     ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples",
-            "dsmc-snapshot-late", "simulate-snapshot-early"])
+            "dsmc-snapshot-late", "simulate-snapshot-early",
+            "simulate-inf-momentum", "simulate-nan-position"])
     def test_refusals_are_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
@@ -197,6 +200,17 @@ class TestDsmc:
                      str(tmp_path)]) == 0
         hist = read_rows(tmp_path / "histograms.csv")
         assert all(int(r["count"]) > 0 for r in hist)
+
+    def test_empty_snapshot_times_are_the_default(self, tmp_path):
+        # as in simulate, [] means the default snapshots at 0 and t_end
+        args = ["dsmc", "--set", "n_samples=1000", "--set", "t_end=0.1"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--set", "snapshot_times=[]",
+                            "--out", str(tmp_path / "b")]) == 0
+        for name in ("histograms.csv", "moments.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+        assert len(read_rows(tmp_path / "b" / "histograms.csv")) > 0
 
     def test_default_config_never_halves_dt(self, tmp_path):
         assert main(["dsmc", "--out", str(tmp_path)]) == 0

@@ -14,7 +14,7 @@ from granulab.core import (
     sample_chaotic_state,
 )
 from granulab import core
-from granulab.dynamics import Simulation, evolve_rods_ensemble
+from granulab.dynamics import _TINY, Simulation, evolve_rods_ensemble
 from granulab.errors import InvalidCollisionError, SamplingFailureError
 from granulab.kinetic import _collide_in_rounds
 
@@ -36,8 +36,10 @@ class TestInelasticity:
     def test_valid_range(self):
         Inelasticity(0.0)
         Inelasticity(0.25)
+        Inelasticity(0.4999999999999999)
 
-    @pytest.mark.parametrize("eps", [-0.01, 0.5, 0.7])
+    # the float below 0.5 is refused too: 1 - eps rounds to 0.5 there
+    @pytest.mark.parametrize("eps", [-0.01, 0.5, 0.7, np.nextafter(0.5, 0.0)])
     def test_rejects_out_of_range(self, eps):
         with pytest.raises(ValueError):
             Inelasticity(eps)
@@ -126,8 +128,37 @@ class TestPrecollide:
         np.testing.assert_allclose(gb, -g / (1 - 2 * eps), atol=1e-12)
 
 
+def approaching_rod_pairs(rng, n=100_000):
+    """(v1, v2) with v1 - v2 > _TINY: random pairs at scales 1 to 1e8, each
+    rod drawn at its own scale, and pairs 1 and 2 ulp apart."""
+    v1, v2 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(0, 8, (2, n))
+    base = rng.normal(size=n) * 10.0 ** rng.uniform(0, 8, n)
+    one = np.nextafter(base, -np.inf)
+    two = np.nextafter(one, -np.inf)
+    a = np.concatenate([np.maximum(v1, v2), base, base, one])
+    b = np.concatenate([np.minimum(v1, v2), one, two, two])
+    keep = a - b > _TINY
+    return a[keep], b[keep]
+
 
 class TestCollideRods:
+    @pytest.mark.parametrize("inverse", [False, True],
+                             ids=["forward", "inverse"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.25, 0.49, 0.4999999,
+                                     0.4999999999999999])
+    def test_collision_leaves_pair_receding(self, eps, inverse):
+        # the 1D event loop never re-predicts a pair that just collided
+        v1, v2 = approaching_rod_pairs(np.random.default_rng(8))
+        w1, w2 = collide_rods(v1, v2, eps, inverse)
+        assert np.count_nonzero(w1 - w2 > 0.0) == 0
+
+    def test_sticky_float_would_leave_pairs_approaching(self):
+        # at the refused eps the forward map is the sticky one in floats,
+        # and rounding leaves some pairs approaching
+        v1, v2 = approaching_rod_pairs(np.random.default_rng(8))
+        w1, w2 = collide_rods(v1, v2, float(np.nextafter(0.5, 0.0)))
+        assert np.count_nonzero(w1 - w2 > 0.0) > 0
+
     def test_bitwise_equal_to_array_maps(self):
         # the rod map must be the array maps with eta = [1.0], operation
         # for operation, including the elastic exchange, on floats and on

@@ -702,15 +702,38 @@ def _log_columns(log):
             np.array(log.dE, dtype=float))
 
 
-def _tc_elastic_in_log(log, tc):
-    """Logged collisions in which a participant had collided less than tc
+def _tc_elastic_rows(log, tc):
+    """Per logged collision, whether a participant had collided less than tc
     earlier: the ones the TC rule makes elastic."""
     last = {}
-    count = 0
+    rows = []
     for t, i, j in zip(log.t, log.i, log.j):
-        count += (t - last.get(i, -np.inf) < tc or t - last.get(j, -np.inf) < tc)
+        rows.append(t - last.get(i, -np.inf) < tc
+                    or t - last.get(j, -np.inf) < tc)
         last[i] = last[j] = t
-    return count
+    return rows
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 17 and 18: the adjacency loop computes dE = 0.5 * (wi*wi "
+    "+ wj*wj - vi*vi - vj*vj) for an exchange too, so elastic collisions "
+    "log round-off of either sign; the fix moves the eps=0 pins, so it "
+    "rides item 17's one re-recording"))
+def test_elastic_collisions_log_zero_energy_change():
+    rng = np.random.default_rng(30)
+    log = TrajectoryLog()
+    evolve(random_state_1d(rng, 20, box=1.0, sigma=0.01, eps=0.0), 1.0,
+           log=log)
+    assert log.n_events > 100
+    nonzero = [np.count_nonzero(log.dE)]
+    rng = np.random.default_rng(30)
+    log = TrajectoryLog()
+    evolve(random_state_1d(rng, 20, box=1.0, sigma=0.01, eps=0.25), 1.0,
+           log=log, tc_threshold=1e-9)
+    elastic = np.array(_tc_elastic_rows(log, 1e-9))
+    assert elastic.sum() > 100
+    nonzero.append(np.count_nonzero(np.array(log.dE)[elastic]))
+    assert nonzero == [0, 0]
 
 
 class TestGoldenTrajectories:
@@ -741,7 +764,7 @@ class TestGoldenTrajectories:
         sim.run(max_events=20_000)
         assert sim.n_events == len(log.t) == 20_000
         assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
-        assert sim.n_tc_elastic == _tc_elastic_in_log(log, 1e-9)
+        assert sim.n_tc_elastic == sum(_tc_elastic_rows(log, 1e-9))
 
     @pytest.mark.parametrize("eps, pin", [
         (0.0, "e809e09d7d1156566b06b153881d6b28b033cb0bb42d571295c1ccb480c0b76c"),
@@ -998,11 +1021,39 @@ class TestRunCounts:
         assert (sim.n_stale_pops, sim.n_tc_elastic) == (8853, 3385)
 
 
+class TestEventOrder:
+    """The facts the adjacency loop predicts from: no pending heap key is
+    before the clock, and no local time is after it, so every pair can be
+    predicted from the event time."""
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    @pytest.mark.parametrize("box", [None, 1.0], ids=["line", "ring"])
+    @pytest.mark.parametrize("rule, tc", [
+        ("forward", None), ("forward", 0.05), ("inverse", None),
+    ], ids=["forward", "forward-tc", "inverse"])
+    def test_clock_bounds_heap_and_local_times(self, engine, box, rule, tc):
+        rng = np.random.default_rng(23)
+        s = sample_chaotic_state(16, UniformMaxwellian(length=1.0), 0.01,
+                                 Inelasticity(0.1), box=box, rng=rng)
+        s.time = 0.3
+        sim = Simulation(s, rule=rule, engine=engine, tc_threshold=tc)
+        for _ in range(20):
+            sim.run(max_events=7)
+            assert not sim.heap or min(sim.heap)[0] >= sim.t
+            assert sim.t >= max(sim.tl)
+        assert sim.n_events >= 20
+
+
 def _pair_3d(**options):
     s = SystemState(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                     np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 0.1,
                     Inelasticity(0.0))
     return Simulation(s, **options)
+
+
+def _rods(q, p):
+    return Simulation(SystemState(np.array(q)[:, None], np.array(p)[:, None],
+                                  0.1, Inelasticity(0.0)))
 
 
 def _overflowing_inverse_pair():
@@ -1020,7 +1071,11 @@ def _overflowing_inverse_pair():
     (lambda: _pair_3d(engine="adjacent"), ValueError, "requires d == 1"),
     (lambda: _pair_3d(engine="grid"), ValueError, "unknown engine"),
     (_overflowing_inverse_pair, EventStormError, "overflow"),
-], ids=["rule", "adjacent-3d", "engine", "allpairs-energy-overflow"])
+    (lambda: _rods([0.0, 1.0], [np.inf, 0.0]), ValueError, "finite"),
+    (lambda: _rods([np.nan, 1.0], [1.0, 0.0]), ValueError, "finite"),
+    (lambda: _rods([0.0, 1.0], [1.0, np.nan]), ValueError, "finite"),
+], ids=["rule", "adjacent-3d", "engine", "allpairs-energy-overflow",
+        "inf-momentum", "nan-position", "nan-momentum"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
