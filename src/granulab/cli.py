@@ -137,11 +137,11 @@ def run_simulate(cfg, out: Path):
                      storm_limit=float(cfg["storm_limit"]))
     times = sorted(set(float(t) for t in
                        cfg["snapshot_times"] or [0.0, float(cfg["t"])]))
-    if times[0] < sim.t:
+    if times[0] < state.time:
         raise ConfigError(f"snapshot times {times} precede the start")
     snaps = []
     for t_target in times:
-        sim.run(dt=max(t_target - sim.t, 0.0))
+        sim.run(dt=max(t_target - state.time - sim.t, 0.0))
         snaps.append(sim.state())
 
     d = state.d

@@ -47,8 +47,10 @@ class TrajectoryLog:
     ``t``, ``i``, ``j``, ``eta``, ``g_n`` and ``dE`` hold one entry per
     event, in event order: the time, the pair, the normal passed to the
     collision algebra (approach condition met), the normal relative speed
-    at impact and the kinetic-energy change (never positive beyond
-    round-off: an elastic collision may log a few ulp either way).
+    at impact and the kinetic-energy change.  ``t`` is the state's start
+    time plus the time elapsed in the run, under the inverse rule too.
+    ``dE`` is 0.0 exactly for an elastic collision (eps = 0, or made
+    elastic by the TC rule) and never positive beyond round-off otherwise.
     """
 
     def __init__(self):
@@ -95,6 +97,11 @@ class Simulation:
     exceeds that many events within one unit of time.  ``engine="allpairs"``
     runs the all-pairs engine in 1D, as the oracle of the adjacency engine.
 
+    ``t`` is the time elapsed in the run, from 0.0: the heap keys, local
+    times and storm windows never see the state's start time, which only
+    :meth:`state` (start + t forward, start - t inverse) and the log rows
+    (start + t under both rules) add; the guards' messages give t.
+
     The all-pairs engine predicts a particle against all its partners in one
     numpy call, over the 3^d nearest periodic images, with the root
     t = c / (sqrt(disc/4) - dq.dv) of disc/4 = |dv|^2 sigma^2 - |dq^dv|^2 and
@@ -102,7 +109,8 @@ class Simulation:
     images hold every contact before H = (1.5 box - sigma) / max_k |dv_k|;
     past it the particle is predicted afresh.  A contact that overlaps
     without approaching (the clock no longer resolves it) and a collision
-    with a non-finite energy change raise :class:`EventStormError`.
+    with a non-finite energy change raise :class:`EventStormError`, and so
+    does a prediction whose relative velocity or root is not finite.
 
     ``n_events`` counts the collisions applied, ``n_stale_pops`` the heap
     entries discarded because a participant collided after they were
@@ -134,20 +142,20 @@ class Simulation:
         self.box = state.box
         self.d = state.d
         self.n = state.n
-        self._template = state
-        self.t = state.time
+        self._t0 = state.time
+        self.t = 0.0
         self.n_events = 0
         self.n_stale_pops = 0  # heap entries popped after their pair changed
         self.n_tc_elastic = 0  # collisions the TC rule made elastic
 
         p = -state.p if self.rule == "inverse" else state.p
         # lazy per-particle positions: x[i] is the position at local time tl[i]
-        self.tl = [self.t] * self.n
+        self.tl = [0.0] * self.n
         self.cnt = [0] * self.n
         self._storm_cnt = [0] * self.n
         # read only at the particle's own events: compact arrays, not lists
         self._last_event = array("d", [-math.inf]) * self.n
-        self._storm_t0 = array("d", [self.t]) * self.n
+        self._storm_t0 = array("d", [0.0]) * self.n
         self.heap: list = []
 
         if self.engine == "adjacent":
@@ -158,8 +166,8 @@ class Simulation:
             self.order = array("q", order.tolist())  # sorted slot -> label
             self.x = x[order].tolist()               # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
-            self.heap = _initial_adjacent_heap(self.x, self.v, self.t,
-                                               self.sigma, self.box)
+            self.heap = _initial_adjacent_heap(self.x, self.v, self.sigma,
+                                               self.box)
         elif self.engine == "allpairs":
             self.x = state.q.copy()
             self.v = p.copy()
@@ -172,6 +180,7 @@ class Simulation:
 
     # -- prediction -------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow refused below
     def _predict(self, i, partners):
         """Push the first contact of i with each of ``partners`` (an index
         array), from i's local time, which no partner's exceeds; the root,
@@ -192,6 +201,9 @@ class Simulation:
         disc = (np.sum(dv * dv, axis=-1) * sigma**2
                 - 0.5 * np.sum((w - np.swapaxes(w, -1, -2))**2, axis=(-2, -1)))
         r = np.sqrt(np.sum(dq * dq, axis=-1))
+        bad = ~(np.isfinite(b) & np.isfinite(disc) & np.isfinite(r)).all(1)
+        if bad.any():  # the relative velocity or the root overflowed
+            raise self._overflow_error(i, int(partners[bad][0]), tau)
         t = np.full(b.shape, np.inf)
         np.divide((r - sigma) * (r + sigma), np.sqrt(np.maximum(disc, 0.0)) - b,
                   out=t, where=(b < 0.0) & (disc >= 0.0))
@@ -242,6 +254,8 @@ class Simulation:
             dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
         if not math.isfinite(dE):
             raise self._overflow_error(i, j, t_ev)
+        if not eps.epsilon:
+            dE = 0.0
         v[i] = vi2
         v[j] = vj2
         self.n_events += 1
@@ -254,7 +268,7 @@ class Simulation:
             if self._storm_cnt[k] > self.storm_limit:
                 raise self._storm_error(k, t_ev)
         if self.log is not None:
-            self.log.append(t_ev, i, j, eta, g_n, dE)
+            self.log.append(self._t0 + t_ev, i, j, eta, g_n, dE)
         return True
 
     def _storm_error(self, k, t_ev) -> EventStormError:
@@ -320,7 +334,7 @@ class Simulation:
         n, box, sigma, log, order = (self.n, self.box, self.sigma, self.log,
                                      self.order)
         eps, tc, limit = self.eps.epsilon, self.tc_threshold, self.storm_limit
-        inverse = self.rule == "inverse"
+        inverse, t0 = self.rule == "inverse", self._t0
         pop, push = heapq.heappop, heapq.heappush
         collide_rods = core.collide_rods
         isfinite, tiny = math.isfinite, _TINY
@@ -358,8 +372,9 @@ class Simulation:
                     e = eps
                 last[i] = last[j] = t_ev
                 wi, wj = collide_rods(vi, vj, e, inverse)
-                dE = 0.5 * (wi * wi + wj * wj - vi * vi - vj * vj)
-                if inverse and not isfinite(dE):
+                dE = (0.5 * (wi * wi + wj * wj - vi * vi - vj * vj) if e
+                      else 0.0)
+                if not isfinite(dE):
                     raise self._overflow_error(order[i], order[j], t_ev)
                 v[i] = vi = wi
                 v[j] = vj = wj
@@ -379,7 +394,7 @@ class Simulation:
                 if storm_cnt[j] > limit:
                     raise self._storm_error(order[j], t_ev)
                 if log is not None:
-                    log_t(t_ev)
+                    log_t(t0 + t_ev)
                     log_i(order[i])
                     log_j(order[j])
                     log_eta(_ETA_1D)
@@ -467,10 +482,9 @@ class Simulation:
             p = -p
         if self.box is not None:
             q = np.mod(q, self.box)
-        out = SystemState(q, p, self.sigma, self.eps, self.box,
-                          self.t if self.rule == "forward" else
-                          self._template.time - (self.t - self._template.time))
-        return out
+        return SystemState(q, p, self.sigma, self.eps, self.box,
+                           self._t0 + self.t if self.rule == "forward"
+                           else self._t0 - self.t)
 
 
 def advance(state: SystemState, dt: float) -> SystemState:
@@ -491,16 +505,14 @@ def advance_inverse(state: SystemState, dt: float) -> SystemState:
     """
     sim = Simulation(state, rule="inverse")
     sim.run(dt=dt)
-    out = sim.state()
-    out.time = state.time - dt
-    return out
+    return sim.state()
 
 
-def _initial_adjacent_heap(x, v, t, sigma, box):
-    """The heap of first contacts of sorted rods whose local times are all t.
+def _initial_adjacent_heap(x, v, sigma, box):
+    """The heap of first contacts of sorted rods at elapsed time 0.
 
     One pass over the adjacent pairs with the event loop's prediction, from
-    t with no flight, then one heapify: every key has the bits a pair-by-pair
+    0 with no flight, then one heapify: every key has the bits a pair-by-pair
     push gives it, and pop order depends only on the keys, which are unique.
     The pass runs on the lists: a numpy pass costs about 20 us whatever the
     size, which would triple the heap build of the many few-rod runs.
@@ -514,7 +526,7 @@ def _initial_adjacent_heap(x, v, t, sigma, box):
         rel = v[i] - v[j]
         if rel > _TINY:
             gap = (x[j] + off) - x[i] - sigma
-            heap.append((t + (0.0 if 0.0 > gap else gap) / rel, i, j, 0, 0))
+            heap.append(((0.0 if 0.0 > gap else gap) / rel, i, j, 0, 0))
     heapq.heapify(heap)
     return heap
 

@@ -714,11 +714,6 @@ def _tc_elastic_rows(log, tc):
     return rows
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP items 17 and 18: the adjacency loop computes dE = 0.5 * (wi*wi "
-    "+ wj*wj - vi*vi - vj*vj) for an exchange too, so elastic collisions "
-    "log round-off of either sign; the fix moves the eps=0 pins, so it "
-    "rides item 17's one re-recording"))
 def test_elastic_collisions_log_zero_energy_change():
     rng = np.random.default_rng(30)
     log = TrajectoryLog()
@@ -739,7 +734,10 @@ def test_elastic_collisions_log_zero_energy_change():
 class TestGoldenTrajectories:
     """Bitwise pins of 1D trajectories.  The digests were recorded from the
     numpy-array form of the adjacency engine; a change that keeps every
-    float operation and its order must reproduce them exactly."""
+    float operation and its order must reproduce them exactly.  The log
+    digests were re-recorded when elastic collisions began to log dE = 0.0
+    and the clock began to count from 0 (the round trip's inverse run
+    starts at 1.0): same events, q within 2.3e-16, p bitwise."""
 
     def test_collapse_prone_ring(self):
         rng = np.random.default_rng(31)
@@ -753,7 +751,7 @@ class TestGoldenTrajectories:
         assert digest(out.p) == (
             "69e58863c859c54f7ad91fc270cbdf0f39d5ed8cb3c9401b14cb9075fa22ab37")
         assert digest(*_log_columns(log)) == (
-            "f2d3561e7b72b1e55ce96365e6467c5d6bf6b4dcac58614028cf6841adb1cd4f")
+            "5df34f6e05a96bb95839fb6cb4d1f0247ab3d83e08e3dbed9c2a254d3e2b8641")
         assert log.total_dissipation() == float.fromhex("-0x1.848ada5edebd3p+5")
 
     def test_collapse_prone_ring_counts(self):
@@ -767,9 +765,9 @@ class TestGoldenTrajectories:
         assert sim.n_tc_elastic == sum(_tc_elastic_rows(log, 1e-9))
 
     @pytest.mark.parametrize("eps, pin", [
-        (0.0, "e809e09d7d1156566b06b153881d6b28b033cb0bb42d571295c1ccb480c0b76c"),
-        (0.1, "2de872d5d82f9a1a20921af7eddded27a00ec25b5c906fd6d3262628b50c04dd"),
-    ])
+        (0.0, "4479cc321b6a31006b65c92527ed452ea80964c0546282182c7439a73e6775e0"),
+        (0.1, "1bbbeedd7ccc2786e33af1645d62a435a0811744302414ba977bdcd853c01f08"),
+    ], ids=["eps0.0", "eps0.1"])
     def test_round_trip_unbounded_rods(self, eps, pin):
         rng = np.random.default_rng(32)
         sigma, n = 0.1, 7
@@ -790,74 +788,80 @@ class TestGoldenTrajectories:
 # log columns, final q and p, clock and event count), recorded from the
 # engine that called a prediction method per pair; the eps = 0 inverse pins
 # were re-recorded when the inverse flow took the exact elastic exchange
-# (same events and clock, q within 3.1e-15 and p within 4.4e-16).  Inverse
-# rings at eps > 0 are left out: each contact multiplies the relative speed
-# by 1/(1-2*eps) until the momenta overflow (see TestInverseOverflow).
+# (same events and clock, q within 3.1e-15 and p within 4.4e-16), and all
+# of them when the clock began to count the run's time from 0 (these runs
+# start at 0.3) and elastic collisions began to log dE = 0.0: the same
+# events, logged times within 1.1e-14, q within 4.7e-15 and p bitwise,
+# except n9-boxNone-eps0.25-inverse, whose contacts the clock cannot place
+# (momenta of 1e56, ROADMAP item 18): its sequence parts after event 803.
+# Inverse rings at eps > 0 are left out: each contact multiplies the
+# relative speed by 1/(1-2*eps) until the momenta overflow (see
+# TestInverseOverflow).
 TRAJECTORY_DIGESTS = [
-    (2, None, 0.0, "forward", None, "83e2d058a0a9e597"),
-    (2, None, 0.0, "forward", 1e-09, "83e2d058a0a9e597"),
-    (2, None, 0.0, "inverse", None, "369077d38202aea3"),
-    (2, None, 0.1, "forward", None, "83e2d058a0a9e597"),
-    (2, None, 0.1, "forward", 1e-09, "83e2d058a0a9e597"),
-    (2, None, 0.1, "inverse", None, "8860cdf408bbca4d"),
-    (2, None, 0.25, "forward", None, "83e2d058a0a9e597"),
-    (2, None, 0.25, "forward", 1e-09, "83e2d058a0a9e597"),
-    (2, None, 0.25, "inverse", None, "59d4d9a1d8cc1969"),
-    (2, 1.0, 0.0, "forward", None, "3ea5f35bae799a90"),
-    (2, 1.0, 0.0, "forward", 1e-09, "3ea5f35bae799a90"),
-    (2, 1.0, 0.0, "inverse", None, "4565eb0a6477eb30"),
-    (2, 1.0, 0.1, "forward", None, "830a2b998bc5a164"),
-    (2, 1.0, 0.1, "forward", 1e-09, "830a2b998bc5a164"),
-    (2, 1.0, 0.25, "forward", None, "53f39150d4fa7262"),
-    (2, 1.0, 0.25, "forward", 1e-09, "53f39150d4fa7262"),
-    (3, None, 0.0, "forward", None, "3417856125d6caeb"),
-    (3, None, 0.0, "forward", 1e-09, "3417856125d6caeb"),
-    (3, None, 0.0, "inverse", None, "a8fe603fc4240cb3"),
-    (3, None, 0.1, "forward", None, "d7a3ff8ec170931e"),
-    (3, None, 0.1, "forward", 1e-09, "d7a3ff8ec170931e"),
-    (3, None, 0.1, "inverse", None, "1cb6be4a485e432e"),
-    (3, None, 0.25, "forward", None, "68fbe1ae3839813d"),
-    (3, None, 0.25, "forward", 1e-09, "68fbe1ae3839813d"),
-    (3, None, 0.25, "inverse", None, "fcf3c94197996654"),
-    (3, 1.0, 0.0, "forward", None, "c087bd421ba89af3"),
-    (3, 1.0, 0.0, "forward", 1e-09, "c087bd421ba89af3"),
-    (3, 1.0, 0.0, "inverse", None, "da99a317a71b9e22"),
-    (3, 1.0, 0.1, "forward", None, "a5f2e5f6bb62630d"),
-    (3, 1.0, 0.1, "forward", 1e-09, "a5f2e5f6bb62630d"),
-    (3, 1.0, 0.25, "forward", None, "ab16e62bfdfed2cc"),
-    (3, 1.0, 0.25, "forward", 1e-09, "ab16e62bfdfed2cc"),
-    (4, None, 0.0, "forward", None, "f6d1dbf026ae8ac5"),
-    (4, None, 0.0, "forward", 1e-09, "f6d1dbf026ae8ac5"),
-    (4, None, 0.0, "inverse", None, "d4be3e97c1eb8fad"),
-    (4, None, 0.1, "forward", None, "cd384b6ab104be05"),
-    (4, None, 0.1, "forward", 1e-09, "cd384b6ab104be05"),
-    (4, None, 0.1, "inverse", None, "75e2b1029c78ced8"),
-    (4, None, 0.25, "forward", None, "08a8c80c3d7554be"),
-    (4, None, 0.25, "forward", 1e-09, "08a8c80c3d7554be"),
-    (4, None, 0.25, "inverse", None, "eb72d55cea1cc450"),
-    (4, 1.0, 0.0, "forward", None, "a9b1a77a9261491d"),
-    (4, 1.0, 0.0, "forward", 1e-09, "a9b1a77a9261491d"),
-    (4, 1.0, 0.0, "inverse", None, "bf8c57e65689b2ac"),
-    (4, 1.0, 0.1, "forward", None, "a2aab7f176161eb5"),
-    (4, 1.0, 0.1, "forward", 1e-09, "a2aab7f176161eb5"),
-    (4, 1.0, 0.25, "forward", None, "e8126b3cb1e942cf"),
-    (4, 1.0, 0.25, "forward", 1e-09, "e8126b3cb1e942cf"),
-    (9, None, 0.0, "forward", None, "9f224ee14f1de5c1"),
-    (9, None, 0.0, "forward", 1e-09, "9f224ee14f1de5c1"),
-    (9, None, 0.0, "inverse", None, "0e8b6ad76d2c67ba"),
-    (9, None, 0.1, "forward", None, "28d8f87c04cbcf26"),
-    (9, None, 0.1, "forward", 1e-09, "28d8f87c04cbcf26"),
-    (9, None, 0.1, "inverse", None, "256524a29a915f48"),
-    (9, None, 0.25, "forward", None, "5f72c23602b50845"),
-    (9, None, 0.25, "forward", 1e-09, "5f72c23602b50845"),
-    (9, None, 0.25, "inverse", None, "21c8f6a9437e673b"),
-    (9, 1.0, 0.0, "forward", None, "433bc9e055cec57a"),
-    (9, 1.0, 0.0, "forward", 1e-09, "433bc9e055cec57a"),
-    (9, 1.0, 0.0, "inverse", None, "8d99b50b59ccb8a5"),
-    (9, 1.0, 0.1, "forward", None, "573d0e50d528aaf4"),
-    (9, 1.0, 0.1, "forward", 1e-09, "573d0e50d528aaf4"),
-    (9, 1.0, 0.25, "forward", None, "f0f60f03a0b1e7f5"),
-    (9, 1.0, 0.25, "forward", 1e-09, "f0f60f03a0b1e7f5"),
+    (2, None, 0.0, "forward", None, "43ed8476fd8f74f2"),
+    (2, None, 0.0, "forward", 1e-09, "43ed8476fd8f74f2"),
+    (2, None, 0.0, "inverse", None, "ce6c1ab4fa2724ee"),
+    (2, None, 0.1, "forward", None, "43ed8476fd8f74f2"),
+    (2, None, 0.1, "forward", 1e-09, "43ed8476fd8f74f2"),
+    (2, None, 0.1, "inverse", None, "203b53d99a11b18b"),
+    (2, None, 0.25, "forward", None, "43ed8476fd8f74f2"),
+    (2, None, 0.25, "forward", 1e-09, "43ed8476fd8f74f2"),
+    (2, None, 0.25, "inverse", None, "2351472b74fa7ab8"),
+    (2, 1.0, 0.0, "forward", None, "6ccb93077e01eb30"),
+    (2, 1.0, 0.0, "forward", 1e-09, "6ccb93077e01eb30"),
+    (2, 1.0, 0.0, "inverse", None, "5c90631e72417d55"),
+    (2, 1.0, 0.1, "forward", None, "2c7230a8e82a5dc9"),
+    (2, 1.0, 0.1, "forward", 1e-09, "2c7230a8e82a5dc9"),
+    (2, 1.0, 0.25, "forward", None, "d85d33d6f70230a0"),
+    (2, 1.0, 0.25, "forward", 1e-09, "d85d33d6f70230a0"),
+    (3, None, 0.0, "forward", None, "52e4941da778b960"),
+    (3, None, 0.0, "forward", 1e-09, "52e4941da778b960"),
+    (3, None, 0.0, "inverse", None, "ca2b91ef35885769"),
+    (3, None, 0.1, "forward", None, "7154e5df877edfc0"),
+    (3, None, 0.1, "forward", 1e-09, "7154e5df877edfc0"),
+    (3, None, 0.1, "inverse", None, "e5007dd528dd33a1"),
+    (3, None, 0.25, "forward", None, "a687198e407ea38b"),
+    (3, None, 0.25, "forward", 1e-09, "a687198e407ea38b"),
+    (3, None, 0.25, "inverse", None, "3cd851c1884a0aab"),
+    (3, 1.0, 0.0, "forward", None, "4e30f15780b130ea"),
+    (3, 1.0, 0.0, "forward", 1e-09, "4e30f15780b130ea"),
+    (3, 1.0, 0.0, "inverse", None, "56e424204e7ec192"),
+    (3, 1.0, 0.1, "forward", None, "06d905f1e624f732"),
+    (3, 1.0, 0.1, "forward", 1e-09, "06d905f1e624f732"),
+    (3, 1.0, 0.25, "forward", None, "a88d03809cc8a6d3"),
+    (3, 1.0, 0.25, "forward", 1e-09, "a88d03809cc8a6d3"),
+    (4, None, 0.0, "forward", None, "932397cc0a77b0fc"),
+    (4, None, 0.0, "forward", 1e-09, "932397cc0a77b0fc"),
+    (4, None, 0.0, "inverse", None, "11c3e1375f85d619"),
+    (4, None, 0.1, "forward", None, "3d32ede85ea0ac0b"),
+    (4, None, 0.1, "forward", 1e-09, "3d32ede85ea0ac0b"),
+    (4, None, 0.1, "inverse", None, "7b82e14d67922d48"),
+    (4, None, 0.25, "forward", None, "ba770a02cb846dfe"),
+    (4, None, 0.25, "forward", 1e-09, "ba770a02cb846dfe"),
+    (4, None, 0.25, "inverse", None, "d4daa32cb199c74d"),
+    (4, 1.0, 0.0, "forward", None, "40642ad96844f894"),
+    (4, 1.0, 0.0, "forward", 1e-09, "40642ad96844f894"),
+    (4, 1.0, 0.0, "inverse", None, "4964c6962b9401c0"),
+    (4, 1.0, 0.1, "forward", None, "2d73be8af3eecb73"),
+    (4, 1.0, 0.1, "forward", 1e-09, "2d73be8af3eecb73"),
+    (4, 1.0, 0.25, "forward", None, "020bf2b601d6cf7f"),
+    (4, 1.0, 0.25, "forward", 1e-09, "020bf2b601d6cf7f"),
+    (9, None, 0.0, "forward", None, "5f71e464071ddc3a"),
+    (9, None, 0.0, "forward", 1e-09, "5f71e464071ddc3a"),
+    (9, None, 0.0, "inverse", None, "54437101654aeba6"),
+    (9, None, 0.1, "forward", None, "a8052097f7768081"),
+    (9, None, 0.1, "forward", 1e-09, "a8052097f7768081"),
+    (9, None, 0.1, "inverse", None, "b0bc39001ad9c8b9"),
+    (9, None, 0.25, "forward", None, "a1921cad792126eb"),
+    (9, None, 0.25, "forward", 1e-09, "a1921cad792126eb"),
+    (9, None, 0.25, "inverse", None, "0e7ab1bfde146ed1"),
+    (9, 1.0, 0.0, "forward", None, "6b7733971feb2c6e"),
+    (9, 1.0, 0.0, "forward", 1e-09, "6b7733971feb2c6e"),
+    (9, 1.0, 0.0, "inverse", None, "56751740daaba287"),
+    (9, 1.0, 0.1, "forward", None, "c687a57e4ef5e606"),
+    (9, 1.0, 0.1, "forward", 1e-09, "c687a57e4ef5e606"),
+    (9, 1.0, 0.25, "forward", None, "e0a39041763623a2"),
+    (9, 1.0, 0.25, "forward", 1e-09, "e0a39041763623a2"),
 ]
 OVERFLOWING_CASES = [(n, 1.0, eps, "inverse", None)
                      for n in (2, 3, 4, 9) for eps in (0.1, 0.25)]
@@ -897,20 +901,21 @@ class TestGoldenEventSequences:
 # (box, rule, heap size, sha256 of the sorted initial heap's columns)
 HEAP_DIGESTS = [
     (1e4, "forward", 5037,
-     "e1098f9033441befa39f017867779261f7837bd6b2ceff3f727d3b1f25fcc30c"),
+     "e3c91d947506e4d5f8d15d4ac5c7f12951ad30264e26837e28e49d23cfa118cd"),
     (1e4, "inverse", 4963,
-     "9d2fd85f1e780389df444f64c6f734fc0cfda2fa0c63ea47a8f528289553c89f"),
+     "fe3ce9e812d1a0688586e9a9f4a5ccba83417c5df5e8d88fbfccdbf3262ac879"),
     (None, "forward", 5037,
-     "e1098f9033441befa39f017867779261f7837bd6b2ceff3f727d3b1f25fcc30c"),
+     "e3c91d947506e4d5f8d15d4ac5c7f12951ad30264e26837e28e49d23cfa118cd"),
     (None, "inverse", 4962,
-     "a93e3544476265f97b8492733c0a72b84153b8761fb06781410d807a85e67cbf"),
+     "a35c045db90a711fc989324438570ba5b27bd9d3d4d5fb0b0e9d695161845eff"),
 ]
 
 
 class TestGoldenInitialHeap:
     """The initial predictions of 10**4 rods, recorded from the engine that
     pushed one pair at a time.  Pop order depends only on the keys, so equal
-    sorted heaps give equal event sequences."""
+    sorted heaps give equal event sequences.  The keys count from 0 since
+    the clock does; 0.3 plus each is the key pinned before, bitwise."""
 
     @pytest.mark.parametrize("box, rule, size, pin", HEAP_DIGESTS,
                              ids=[f"box{b}-{r}" for b, r, _, _ in HEAP_DIGESTS])
@@ -1056,6 +1061,14 @@ def _rods(q, p):
                                   0.1, Inelasticity(0.0)))
 
 
+def _overflowing_forward_pair(engine):
+    # the relative speed 2e308 overflows in the all-pairs prediction and in
+    # the adjacency loop's collision, under the forward rule
+    s = SystemState(np.array([[0.0], [1.0]]), np.array([[1e308], [-1e308]]),
+                    0.1, Inelasticity(0.25))
+    Simulation(s, engine=engine).run(dt=1.0)
+
+
 def _overflowing_inverse_pair():
     # the inverse kick is 25.5 times the relative speed 2e153, so the
     # pre-collision energy overflows and the collision is refused, with no
@@ -1071,10 +1084,15 @@ def _overflowing_inverse_pair():
     (lambda: _pair_3d(engine="adjacent"), ValueError, "requires d == 1"),
     (lambda: _pair_3d(engine="grid"), ValueError, "unknown engine"),
     (_overflowing_inverse_pair, EventStormError, "overflow"),
+    (lambda: _overflowing_forward_pair("adjacent"), EventStormError,
+     "overflow"),
+    (lambda: _overflowing_forward_pair("allpairs"), EventStormError,
+     "overflow"),
     (lambda: _rods([0.0, 1.0], [np.inf, 0.0]), ValueError, "finite"),
     (lambda: _rods([np.nan, 1.0], [1.0, 0.0]), ValueError, "finite"),
     (lambda: _rods([0.0, 1.0], [1.0, np.nan]), ValueError, "finite"),
 ], ids=["rule", "adjacent-3d", "engine", "allpairs-energy-overflow",
+        "adjacent-forward-overflow", "allpairs-forward-overflow",
         "inf-momentum", "nan-position", "nan-momentum"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
@@ -1093,11 +1111,10 @@ def test_allpairs_grazing_contact_is_skipped():
     assert not sim.heap and sim.state().p.tobytes() == s.p.tobytes()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 17: the event clock is absolute, so at t = 1e16 (double "
-    "spacing 2) the contact due at 0.9 fires at 0 and the rods end at 0 and 5"))
 @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
 def test_contact_late_on_the_clock(engine):
+    # at 1e16 the spacing of doubles is 2, so only a clock that counts from
+    # the start can place this contact, due 0.9 later
     s = SystemState(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]), 0.1,
                     Inelasticity(0.0), time=1e16)
     sim = Simulation(s, engine=engine)
@@ -1106,14 +1123,66 @@ def test_contact_late_on_the_clock(engine):
                                atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 17: Simulation(rule='inverse') reports the clock as "
-    "time - (t - time), 0.19999999999999996 here, while advance_inverse "
-    "overwrites it with time - dt"))
 def test_inverse_run_times_agree():
-    s = SystemState(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]), 0.1,
-                    Inelasticity(0.0), time=0.3)
-    sim = Simulation(s, rule="inverse")
-    sim.run(dt=0.1)
-    assert advance_inverse(s, 0.1).time == 0.3 - 0.1
-    assert sim.state().time == 0.3 - 0.1
+    # an inverse run reports start - dt through Simulation and
+    # advance_inverse alike, at any start
+    for start, dt in itertools.product((0.3, 17.25, 1e16), (0.1, 3.0)):
+        s = SystemState(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]),
+                        0.1, Inelasticity(0.0), time=start)
+        sim = Simulation(s, rule="inverse")
+        sim.run(dt=dt)
+        assert advance_inverse(s, dt).time == start - dt
+        assert sim.state().time == start - dt
+
+
+class TestStartTimeInvariance:
+    """The clock counts the run's time from 0, so a state started at any
+    time runs bitwise as it does from 0: the same contacts, counters,
+    refusals, q and p, each logged time the start plus the time-0 one.  The
+    runs cut by an event budget, the TC rule and the storm guard (which
+    refuses the inverse rings at eps = 0.25) all read the clock.  At 1e16
+    the spacing of doubles is 2, far above the time between contacts."""
+
+    STARTS = (0.3, 17.25, 1e16)
+
+    @staticmethod
+    def run(seed, box, rule, engine, eps, start):
+        rng = np.random.default_rng(seed)
+        s = sample_chaotic_state(6, UniformMaxwellian(), 0.05,
+                                 Inelasticity(eps), box, rng)
+        s.time = start
+        log = TrajectoryLog()
+        sim = Simulation(s, log=log, rule=rule, engine=engine, storm_limit=15,
+                         tc_threshold=0.05 if rule == "forward" else None)
+        try:
+            sim.run(dt=0.2, max_events=3)
+            sim.run(dt=0.3)
+        except EventStormError as exc:
+            return sim, log, str(exc)
+        return sim, log, None
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    @pytest.mark.parametrize("rule", ["forward", "inverse"])
+    @pytest.mark.parametrize("box", [None, 1.0], ids=["line", "ring"])
+    def test_runs_match_start_zero(self, box, rule, engine):
+        refusals = 0
+        for seed, eps in itertools.product(range(6), (0.0, 0.25)):
+            ref, ref_log, ref_error = self.run(seed, box, rule, engine, eps,
+                                               0.0)
+            ref_out = ref.state()
+            refusals += ref_error is not None
+            for start in self.STARTS:
+                sim, log, error = self.run(seed, box, rule, engine, eps, start)
+                out = sim.state()
+                assert error == ref_error
+                assert (list(log.i), list(log.j)) == (list(ref_log.i),
+                                                      list(ref_log.j))
+                assert (sim.n_events, sim.n_stale_pops, sim.n_tc_elastic) == (
+                    ref.n_events, ref.n_stale_pops, ref.n_tc_elastic)
+                assert out.q.tobytes() == ref_out.q.tobytes()
+                assert out.p.tobytes() == ref_out.p.tobytes()
+                assert sim.t == ref.t
+                assert list(log.t) == [start + t for t in ref_log.t]
+                assert out.time == (start + sim.t if rule == "forward"
+                                    else start - sim.t)
+        assert refusals == (5 if (box, rule) == (1.0, "inverse") else 0)
