@@ -932,6 +932,74 @@ class TestGoldenInitialHeap:
                       np.array(ints, dtype=np.int64)) == pin
 
 
+# (case, seed, n, d, box, sigma, eps, rule, tc_threshold, first 16 hex digits
+# of the sha256 of the log columns, final q and p, clock and the three
+# counters), recorded from the all-pairs engine that collided each pair in a
+# method of its own
+ALLPAIRS_DIGESTS = [
+    ("3d-forward-tc", 0, 8, 3, 1.0, 0.2, 0.25, "forward", 0.2, "9cc7cf23048e2529"),
+    ("3d-inverse", 1, 8, 3, 1.0, 0.2, 0.1, "inverse", None, "7561c473af7a5678"),
+    ("3d-elastic", 0, 8, 3, 1.0, 0.2, 0.0, "forward", None, "106929cacf35167b"),
+    ("ring-forward-tc", 2, 6, 1, 1.0, 0.02, 0.25, "forward", 0.05, "27ff09061a15d08d"),
+    ("ring-inverse", 1, 6, 1, 1.0, 0.02, 0.1, "inverse", None, "462752da1e5e521f"),
+    ("line-forward-tc", 1, 6, 1, None, 0.02, 0.25, "forward", 0.2, "14de8efa93a610f0"),
+    ("line-inverse", 0, 6, 1, None, 0.02, 0.1, "inverse", None, "ca90d4bcb7a2487d"),
+]
+
+
+class TestGoldenAllPairs:
+    """Bitwise pins of the all-pairs engine on periodic spheres and on 1D
+    rings and lines, started at 0.3: four runs cut by the event budget, then
+    an open one.  Every case has events, the TC cases make some collisions
+    elastic, and the 3D cases pop horizon re-checks (each adds one to a
+    particle's counter and no event)."""
+
+    @staticmethod
+    def simulation(seed, n, d, box, sigma, eps, rule, tc, storm_limit=1e5):
+        rng = np.random.default_rng(seed)
+        s = sample_chaotic_state(n, UniformMaxwellian(d=d), sigma,
+                                 Inelasticity(eps), box, rng)
+        s.time = 0.3
+        log = TrajectoryLog()
+        return Simulation(s, log=log, rule=rule, engine="allpairs",
+                          tc_threshold=tc, storm_limit=storm_limit), log
+
+    @staticmethod
+    def run(sim):
+        for _ in range(4):
+            sim.run(dt=0.3, max_events=9)
+        sim.run(dt=0.6)
+
+    @pytest.mark.parametrize(
+        "seed, n, d, box, sigma, eps, rule, tc, pin",
+        [case[1:] for case in ALLPAIRS_DIGESTS],
+        ids=[case[0] for case in ALLPAIRS_DIGESTS])
+    def test_digests(self, seed, n, d, box, sigma, eps, rule, tc, pin):
+        sim, log = self.simulation(seed, n, d, box, sigma, eps, rule, tc)
+        self.run(sim)
+        out = sim.state()
+        assert sim.n_events == len(log.t) > 0
+        assert (sim.n_tc_elastic > 0) == (tc is not None)
+        assert (sum(sim.cnt) - 2 * sim.n_events > 0) == (d == 3)
+        assert digest(*_log_columns(log), out.q, out.p, np.array([sim.t]),
+                      np.array([sim.n_events, sim.n_stale_pops,
+                                sim.n_tc_elastic]))[:16] == pin
+
+    def test_storm_refusal(self):
+        sim, log = self.simulation(0, 8, 3, 1.0, 0.2, 0.25, "forward", None,
+                                   storm_limit=3)
+        with pytest.raises(EventStormError) as refusal:
+            self.run(sim)
+        assert str(refusal.value) == (
+            "particle 1: more than 3 events within unit time at t=1.46561; "
+            "likely inelastic collapse (consider tc_threshold)")
+        # the refused collision is applied and counted, but not logged
+        assert (sim.n_events, len(log.t)) == (13, 12)
+        assert digest(*_log_columns(log), np.array(
+            [sim.n_events, sim.n_stale_pops, sim.n_tc_elastic]))[:16] == (
+            "6ff8871619bdf7c1")
+
+
 class TestInverseOverflow:
     """Each inverse contact multiplies the normal relative speed by
     1/(1-2*eps); on a ring the contacts then come ever faster until the
@@ -962,8 +1030,11 @@ class TestInverseRingOracle:
     Each contact reverses the relative momentum g and scales it by
     1/(1-2*eps), and between contacts the pair covers a lap of L - 2*sigma,
     so the contacts accumulate at t* = d0/g0 + (L - 2 sigma)(1 - 2 eps) /
-    (2 eps g0).  Below t* both engines must match the closed form; the
-    refusal past t* belongs to item 18's guard."""
+    (2 eps g0).  Below t* both engines must match the closed form.  Past t*
+    both refuse at t*, with finite momenta: the adjacency loop when the
+    momenta's energy overflows, the all-pairs loop when a contact overlaps
+    without approaching.  Item 18's guard, which refuses a contact closer
+    than the clock resolves, will refuse both earlier."""
 
     Q, P = (0.0679599, 0.1116856), (1.3033, -1.6197)
     SIGMA, BOX, EPS = 0.01, 0.148428, 0.1
@@ -1002,6 +1073,16 @@ class TestInverseRingOracle:
         expected, p = self.closed_form(dt)
         assert sim.n_events == expected == contacts
         np.testing.assert_allclose(sim.state().p[:, 0], p, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_engine_refuses_past_t_star(self, engine):
+        s = SystemState(np.array(self.Q)[:, None], np.array(self.P)[:, None],
+                        self.SIGMA, Inelasticity(self.EPS), self.BOX)
+        sim = Simulation(s, rule="inverse", engine=engine)
+        with pytest.raises(EventStormError, match=r"at t=0\.2081"):
+            sim.run(dt=0.3)
+        assert sim.n_events > self.CONTACTS[-1][1]
+        assert np.isfinite(sim.state().p).all()
 
 
 class TestRunCounts:
