@@ -13,7 +13,8 @@ counters, momentum updates through the single collision algebra in
   1-element arrays and per-step calls only slow down) that collides, counts,
   logs and re-predicts the two new neighbour pairs inline;
 * an all-pairs engine for any dimension, the 1D oracle and the 3D engine,
-  which predicts a particle against all its partners in one numpy call.
+  which predicts a particle against all its partners in one numpy call and
+  runs each event inline, in the 1D loop's order.
 
 The inverse-collision flow (free flight backward in time, pre-collision
 momenta at contacts) is exposed through :func:`advance_inverse`; it is the
@@ -60,14 +61,6 @@ class TrajectoryLog:
         self.eta = []
         self.g_n = array("d")
         self.dE = array("d")
-
-    def append(self, t, i, j, eta, g_n, dE):
-        self.t.append(t)
-        self.i.append(i)
-        self.j.append(j)
-        self.eta.append(eta)
-        self.g_n.append(g_n)
-        self.dE.append(dE)
 
     @property
     def events(self) -> range:
@@ -169,6 +162,7 @@ class Simulation:
             self.heap = _initial_adjacent_heap(self.x, self.v, self.sigma,
                                                self.box)
         elif self.engine == "allpairs":
+            self.order = np.arange(self.n)  # slot -> label: the identity
             self.x = state.q.copy()
             self.v = p.copy()
             shifts = (0.0,) if self.box is None else (-self.box, 0.0, self.box)
@@ -218,58 +212,6 @@ class Simulation:
                                        cnt[i]))
 
     # -- event processing -------------------------------------------------
-
-    def _collide_pair(self, t_ev, i, j):
-        """Collide i and j at t_ev (TC rule, collision map, counters, storm
-        guard, log row); False for a grazing contact."""
-        x, v, tl, last = self.x, self.v, self.tl, self._last_event
-        x[i] += v[i] * (t_ev - tl[i])
-        x[j] += v[j] * (t_ev - tl[j])
-        tl[i] = tl[j] = t_ev
-        # unit normal from j's center to i's center at contact
-        dq = x[i] - x[j]
-        if self.box is not None:
-            dq -= self.box * np.round(dq / self.box)
-        r = np.linalg.norm(dq)
-        # with the normal pointing j -> i an approaching pair has
-        # <eta, v_i - v_j> <= 0; negate so the algebra's condition holds
-        eta = -(dq / r)
-        vi, vj = v[i], v[j]  # rows, read before they are overwritten
-        g_n = float(eta @ (vi - vj))
-        if g_n <= 0.0:  # grazing, or a contact the clock no longer resolves
-            if r < self.sigma * (1.0 - _OVERLAP_SLACK):
-                raise self._overflow_error(i, j, t_ev)
-            return False
-        tc = self.tc_threshold
-        elastic = tc is not None and (t_ev - last[i] < tc
-                                      or t_ev - last[j] < tc)
-        last[i] = last[j] = t_ev
-        self.n_tc_elastic += elastic
-        eps = Inelasticity(0.0 if elastic else self.eps.epsilon)
-        if self.rule == "forward":
-            vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
-        else:
-            vi2, vj2 = core.precollide(vi, vj, eta, eps)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
-        if not math.isfinite(dE):
-            raise self._overflow_error(i, j, t_ev)
-        if not eps.epsilon:
-            dE = 0.0
-        v[i] = vi2
-        v[j] = vj2
-        self.n_events += 1
-        for k in (i, j):
-            self.cnt[k] += 1
-            if t_ev - self._storm_t0[k] >= 1.0:
-                self._storm_t0[k] = t_ev
-                self._storm_cnt[k] = 0
-            self._storm_cnt[k] += 1
-            if self._storm_cnt[k] > self.storm_limit:
-                raise self._storm_error(k, t_ev)
-        if self.log is not None:
-            self.log.append(self._t0 + t_ev, i, j, eta, g_n, dE)
-        return True
 
     def _storm_error(self, k, t_ev) -> EventStormError:
         return EventStormError(
@@ -437,8 +379,14 @@ class Simulation:
 
     def _run_pairs(self, t_end, budget):
         """The all-pairs event loop; returns what :meth:`_run_adjacent`
-        does."""
-        heap, cnt, everyone = self.heap, self.cnt, np.arange(self.n)
+        does.  Each event runs inline in that loop's order: flight, graze
+        and overlap check, TC rule, collision map, dE guard, counters, storm
+        guard, log row, then i and j are predicted afresh against everyone.
+        """
+        heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
+        last, everyone, box, log = (self._last_event, self.order, self.box,
+                                    self.log)
+        tc, t0, inverse = self.tc_threshold, self._t0, self.rule == "inverse"
         processed = 0
         t_last = None  # time of the last event popped and applied
         stopped = False
@@ -455,29 +403,74 @@ class Simulation:
                 break
             heapq.heappop(heap)
             t_last = t_ev
+            x[i] += v[i] * (t_ev - tl[i])
+            tl[i] = t_ev
             if i == j:  # horizon re-check: predict i afresh from t_ev
-                self.x[i] += self.v[i] * (t_ev - self.tl[i])
-                self.tl[i] = t_ev
                 cnt[i] += 1
                 self._predict(i, everyone[everyone != i])
-            elif self._collide_pair(t_ev, i, j):
-                processed += 1
-                self._predict(i, everyone[everyone != i])
-                self._predict(j, everyone[(everyone != i) & (everyone != j)])
+                continue
+            x[j] += v[j] * (t_ev - tl[j])
+            tl[j] = t_ev
+            # unit normal from j's center to i's center at contact
+            dq = x[i] - x[j]
+            if box is not None:
+                dq -= box * np.round(dq / box)
+            r = np.linalg.norm(dq)
+            # with the normal pointing j -> i an approaching pair has
+            # <eta, v_i - v_j> <= 0; negate so the algebra's condition holds
+            eta = -(dq / r)
+            vi, vj = v[i], v[j]  # rows, read before they are overwritten
+            g_n = float(eta @ (vi - vj))
+            if g_n <= 0.0:  # grazing, or a contact the clock cannot resolve
+                if r < self.sigma * (1.0 - _OVERLAP_SLACK):
+                    raise self._overflow_error(i, j, t_ev)
+                continue
+            elastic = tc is not None and (t_ev - last[i] < tc
+                                          or t_ev - last[j] < tc)
+            last[i] = last[j] = t_ev
+            self.n_tc_elastic += elastic
+            eps = Inelasticity(0.0) if elastic else self.eps
+            if inverse:
+                vi2, vj2 = core.precollide(vi, vj, eta, eps)
+            else:
+                vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
+            if not math.isfinite(dE):
+                raise self._overflow_error(i, j, t_ev)
+            if not eps.epsilon:
+                dE = 0.0
+            v[i] = vi2
+            v[j] = vj2
+            processed += 1
+            self.n_events += 1
+            for k in (i, j):
+                cnt[k] += 1
+                if t_ev - self._storm_t0[k] >= 1.0:
+                    self._storm_t0[k] = t_ev
+                    self._storm_cnt[k] = 0
+                self._storm_cnt[k] += 1
+                if self._storm_cnt[k] > self.storm_limit:
+                    raise self._storm_error(k, t_ev)
+            if log is not None:
+                log.t.append(t0 + t_ev)
+                log.i.append(i)
+                log.j.append(j)
+                log.eta.append(eta)
+                log.g_n.append(g_n)
+                log.dE.append(dE)
+            self._predict(i, everyone[everyone != i])
+            self._predict(j, everyone[(everyone != i) & (everyone != j)])
         return processed, t_last, stopped
 
     def state(self) -> SystemState:
         """Synchronized snapshot at the current simulation time."""
-        tl = np.array(self.tl)
-        if self.engine == "adjacent":
-            x = np.array(self.x) + np.array(self.v) * (self.t - tl)
-            q = np.empty((self.n, 1))
-            p = np.empty((self.n, 1))
-            q[self.order, 0] = x
-            p[self.order, 0] = self.v
-        else:
-            q = self.x + self.v * (self.t - tl)[:, None]
-            p = self.v.copy()
+        x = np.asarray(self.x).reshape(self.n, self.d)
+        v = np.asarray(self.v).reshape(self.n, self.d)
+        q = np.empty((self.n, self.d))
+        p = np.empty((self.n, self.d))
+        q[self.order] = x + v * (self.t - np.array(self.tl))[:, None]
+        p[self.order] = v
         if self.rule == "inverse":
             p = -p
         if self.box is not None:

@@ -14,13 +14,14 @@ class SamplingFailureError(GranulabError):
 
 
 class EventStormError(GranulabError):
-    """Event-driven run aborted: too many collisions per particle per unit
-    time, or an inverse-flow collision whose momenta or energy overflow.
-
-    The first usually indicates inelastic collapse; see
-    Simulation(tc_threshold=...) for the optional elastic-cutoff
-    regularization.  The second comes from the inverse flow multiplying the
-    normal relative speed by 1/(1-2*eps) at every contact.
+    """Event-driven run aborted, under either rule: an event storm (more
+    than ``storm_limit`` collisions per particle per unit time, usually
+    inelastic collapse, which Simulation(tc_threshold=...) regularizes; or
+    ``evolve_rods_ensemble`` out of rounds); a collision whose momenta or
+    kinetic energy overflow (the inverse flow multiplies the normal
+    relative speed by 1/(1-2*eps) at every contact), or an all-pairs
+    prediction that is not finite; or a contact closer than the clock
+    resolves (an all-pairs pair that overlaps without approaching).
     """
 
 
