@@ -7,11 +7,12 @@ counters, momentum updates through the single collision algebra in
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
   only neighbours can collide), with lazy per-particle times -- the fast
-  path used for large runs.  It builds its initial heap in one pass over the
-  adjacent pairs and one heapify, and runs one fused event loop on Python
-  floats and lists (every event is scalar work, which numpy scalars,
-  1-element arrays and per-step calls only slow down) that collides, counts,
-  logs and re-predicts the two new neighbour pairs inline;
+  path used for large runs.  One routine, ``_predict_adjacent``, predicts
+  every adjacent pair: each pair of the initial heap at time 0 and the two
+  new neighbour pairs after each event.  The event loop runs on Python
+  floats and lists (every event is scalar work, which numpy scalars and
+  1-element arrays only slow down) and collides, counts and logs inline,
+  with two kinds of call per step: ``collide_rods`` and the predictor;
 * an all-pairs engine for any dimension, the 1D oracle and the 3D engine,
   which predicts a particle against all its partners in one numpy call and
   runs each event inline, in the 1D loop's order.
@@ -146,21 +147,23 @@ class Simulation:
         self.tl = [0.0] * self.n
         self.cnt = [0] * self.n
         self._storm_cnt = [0] * self.n
-        # read only at the particle's own events: compact arrays, not lists
-        self._last_event = array("d", [-math.inf]) * self.n
-        self._storm_t0 = array("d", [0.0]) * self.n
+        self._last_event = [-math.inf] * self.n  # TC rule: last collision
+        self._storm_t0 = [0.0] * self.n  # start of the storm window
         self.heap: list = []
 
         if self.engine == "adjacent":
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
             x = state.q[:, 0] if self.box is None else np.mod(state.q[:, 0], self.box)
-            order = np.argsort(x, kind="stable")  # a ring orders x in [0, box)
-            self.order = array("q", order.tolist())  # sorted slot -> label
+            order = np.argsort(x)  # distinct; a ring orders x in [0, box)
+            # sorted slot -> label, copied as bytes: no Python int per rod
+            self.order = array("q", order.astype("q").tobytes())
             self.x = x[order].tolist()               # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
-            self.heap = _initial_adjacent_heap(self.x, self.v, self.sigma,
-                                               self.box)
+            for i in range(self.n - 1):
+                self._predict_adjacent(i, i + 1, 0.0, 0.0)
+            if self.box is not None and self.n:
+                self._predict_adjacent(self.n - 1, 0, self.box, 0.0)
         elif self.engine == "allpairs":
             self.order = np.arange(self.n)  # slot -> label: the identity
             self.x = state.q.copy()
@@ -173,6 +176,20 @@ class Simulation:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     # -- prediction -------------------------------------------------------
+
+    def _predict_adjacent(self, a, b, off, t):
+        """Push the first contact of the adjacent rods a and b, b on a's
+        right (``off`` is the box when the pair wraps, 0.0 otherwise), as
+        predicted at elapsed time t, which neither rod's local time
+        exceeds; nothing when the pair does not approach."""
+        v = self.v
+        rel = v[a] - v[b]
+        if rel > _TINY:
+            x, tl = self.x, self.tl
+            gap = ((x[b] + off + v[b] * (t - tl[b]))
+                   - (x[a] + v[a] * (t - tl[a])) - self.sigma)
+            heapq.heappush(self.heap, (t + (0.0 if 0.0 > gap else gap) / rel,
+                                       a, b, self.cnt[a], self.cnt[b]))
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow refused below
     def _predict(self, i, partners):
@@ -259,27 +276,28 @@ class Simulation:
         """The 1D event loop: returns (collisions, time of the last event
         popped and applied, whether the budget stopped it).
 
-        Each event's free flight, TC rule, collision, counters, storm guard,
-        log row and the re-prediction of its two new neighbour pairs run
-        inline on local names: a call per step costs more than the step's
-        arithmetic.  Every push is at or after its own event, so events pop
-        in time order, no local time exceeds t_ev and each pair is predicted
-        from t_ev.  A collision leaves its own pair receding (the relative
-        speed becomes -(1-2 eps) g, -g/(1-2 eps) or -g, and rounding keeps
-        the sign), so only (j, right) and (left, i) are re-predicted.  A
-        popped entry whose counters match has g_n > _TINY: every push
-        required it, and neither velocity has changed since.
+        Each event's free flight, TC rule, collision, counters, storm guard
+        and log row run inline on local names; the only calls per step are
+        ``collide_rods`` and :meth:`_predict_adjacent` on the two new
+        neighbour pairs.  Every push is at or after its own event, so
+        events pop in time order, no local time exceeds t_ev and each pair
+        is predicted from t_ev.  A collision leaves its own pair receding
+        (the relative speed becomes -(1-2 eps) g, -g/(1-2 eps) or -g, and
+        rounding keeps the sign), so only (j, right) and (left, i) are
+        re-predicted.  A popped entry whose counters match has g_n > _TINY:
+        every push required it, and neither velocity has changed since.
+        The entry is popped first and pushed back when the run or the
+        budget ends on it.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
                                      self._storm_cnt)
-        n, box, sigma, log, order = (self.n, self.box, self.sigma, self.log,
-                                     self.order)
+        n, box, log, order = self.n, self.box, self.log, self.order
         eps, tc, limit = self.eps.epsilon, self.tc_threshold, self.storm_limit
         inverse, t0 = self.rule == "inverse", self._t0
         pop, push = heapq.heappop, heapq.heappush
-        collide_rods = core.collide_rods
-        isfinite, tiny = math.isfinite, _TINY
+        collide_rods, predict = core.collide_rods, self._predict_adjacent
+        isfinite = math.isfinite
         if log is not None:
             log_t, log_i, log_j, log_eta, log_g, log_de = (
                 log.t.append, log.i.append, log.j.append, log.eta.append,
@@ -289,17 +307,17 @@ class Simulation:
         stopped = False
         try:
             while heap:
-                t_ev, i, j, ci, cj = heap[0]
+                t_ev, i, j, ci, cj = entry = pop(heap)
                 if t_ev > t_end:
+                    push(heap, entry)
                     break
                 if cnt[i] != ci or cnt[j] != cj:
-                    pop(heap)
                     stale += 1
                     continue  # stale prediction
                 if processed >= budget:
+                    push(heap, entry)
                     stopped = True
                     break
-                pop(heap)
                 t_last = t_ev
                 x[i] = x[i] + v[i] * (t_ev - tl[i])
                 x[j] = x[j] + v[j] * (t_ev - tl[j])
@@ -318,8 +336,8 @@ class Simulation:
                       else 0.0)
                 if not isfinite(dE):
                     raise self._overflow_error(order[i], order[j], t_ev)
-                v[i] = vi = wi
-                v[j] = vj = wj
+                v[i] = wi
+                v[j] = wj
                 cnt[i] += 1
                 cnt[j] += 1
                 processed += 1
@@ -344,33 +362,15 @@ class Simulation:
                     log_de(dE)
                 # re-predict (j, right) and (left, i); on a ring of two the
                 # left pair is the right one and is pushed once
-                b = j + 1
-                if b < n:
-                    off = 0.0
+                if j + 1 < n:
+                    predict(j, j + 1, 0.0, t_ev)
                 elif box is not None:
-                    b, off = 0, box
-                else:
-                    b = -1
-                if b >= 0:
-                    rel = vj - v[b]
-                    if rel > tiny:
-                        xb = x[b] + off + v[b] * (t_ev - tl[b])
-                        gap = xb - x[j] - sigma
-                        push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
-                                    j, b, cnt[j], cnt[b]))
+                    predict(j, 0, box, t_ev)
                 if i:
-                    a, off = i - 1, 0.0
-                elif box is not None:
-                    a, off = n - 1, box
-                else:
-                    a = -1
-                if a >= 0 and a != j:
-                    rel = v[a] - vi
-                    if rel > tiny:
-                        xa = x[a] + v[a] * (t_ev - tl[a])
-                        gap = (x[i] + off) - xa - sigma
-                        push(heap, (t_ev + (0.0 if 0.0 > gap else gap) / rel,
-                                    a, i, cnt[a], cnt[i]))
+                    if i - 1 != j:
+                        predict(i - 1, i, 0.0, t_ev)
+                elif box is not None and n - 1 != j:
+                    predict(n - 1, i, box, t_ev)
         finally:
             self.n_events += processed
             self.n_stale_pops += stale
@@ -499,29 +499,6 @@ def advance_inverse(state: SystemState, dt: float) -> SystemState:
     sim = Simulation(state, rule="inverse")
     sim.run(dt=dt)
     return sim.state()
-
-
-def _initial_adjacent_heap(x, v, sigma, box):
-    """The heap of first contacts of sorted rods at elapsed time 0.
-
-    One pass over the adjacent pairs with the event loop's prediction, from
-    0 with no flight, then one heapify: every key has the bits a pair-by-pair
-    push gives it, and pop order depends only on the keys, which are unique.
-    The pass runs on the lists: a numpy pass costs about 20 us whatever the
-    size, which would triple the heap build of the many few-rod runs.
-    """
-    n = len(x)
-    heap = []
-    for i in range(n if box is not None else n - 1):
-        j, off = i + 1, 0.0
-        if j == n:
-            j, off = 0, box
-        rel = v[i] - v[j]
-        if rel > _TINY:
-            gap = (x[j] + off) - x[i] - sigma
-            heap.append(((0.0 if 0.0 > gap else gap) / rel, i, j, 0, 0))
-    heapq.heapify(heap)
-    return heap
 
 
 def evolve_rods_ensemble(q: np.ndarray, p: np.ndarray, t: float,
