@@ -250,8 +250,11 @@ class Simulation:
         The clock moves to t+dt, except when the event budget ends the run
         with a contact before t+dt still pending (or when no dt is given):
         then it stops at the last event processed, so :meth:`state` is
-        always a configuration the flow actually reaches.  Returns the
-        number of collisions processed in this call.
+        always a configuration the flow actually reaches.  A refusal
+        (:class:`EventStormError`) applies, counts and logs nothing of the
+        refused event, whose contact stays pending, and stops the clock at
+        the last event applied, too.  Returns the number of collisions
+        processed in this call.
         """
         if dt is None and (max_events is None
                            or self.d > 1 and self.box is not None):
@@ -262,19 +265,16 @@ class Simulation:
             raise ValueError("dt must be nonnegative")
         budget = math.inf if max_events is None else max_events
         if self.engine == "adjacent":
-            processed, t_last, stopped = self._run_adjacent(t_end, budget)
+            processed, stopped = self._run_adjacent(t_end, budget)
         else:
-            processed, t_last, stopped = self._run_pairs(t_end, budget)
-        if stopped or t_end == math.inf:
-            if t_last is not None:
-                self.t = t_last
-        else:
+            processed, stopped = self._run_pairs(t_end, budget)
+        if not stopped and t_end < math.inf:
             self.t = t_end
         return processed
 
     def _run_adjacent(self, t_end, budget):
-        """The 1D event loop: returns (collisions, time of the last event
-        popped and applied, whether the budget stopped it).
+        """The 1D event loop: returns (collisions, whether the budget
+        stopped it), with the clock at the last event applied.
 
         Each event's free flight, TC rule, collision, counters, storm guard
         and log row run inline on local names; the only calls per step are
@@ -286,8 +286,9 @@ class Simulation:
         rounding keeps the sign), so only (j, right) and (left, i) are
         re-predicted.  A popped entry whose counters match has g_n > _TINY:
         every push required it, and neither velocity has changed since.
-        The entry is popped first and pushed back when the run or the
-        budget ends on it.
+        The entry is popped first and pushed back when the run, the budget
+        or a refusal ends on it; a refused event changes nothing but the
+        rods' flight to it and their storm windows.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
@@ -303,7 +304,7 @@ class Simulation:
                 log.t.append, log.i.append, log.j.append, log.eta.append,
                 log.g_n.append, log.dE.append)
         processed = stale = tc_elastic = 0
-        t_last = None
+        t_last = self.t
         stopped = False
         try:
             while heap:
@@ -318,41 +319,41 @@ class Simulation:
                     push(heap, entry)
                     stopped = True
                     break
-                t_last = t_ev
                 x[i] = x[i] + v[i] * (t_ev - tl[i])
                 x[j] = x[j] + v[j] * (t_ev - tl[j])
                 tl[i] = tl[j] = t_ev
                 vi, vj = v[i], v[j]
                 g_n = vi - vj
-                if tc is not None and (t_ev - last[i] < tc
-                                       or t_ev - last[j] < tc):
-                    e = 0.0
-                    tc_elastic += 1
-                else:
-                    e = eps
-                last[i] = last[j] = t_ev
+                elastic = tc is not None and (t_ev - last[i] < tc
+                                              or t_ev - last[j] < tc)
+                e = 0.0 if elastic else eps
                 wi, wj = collide_rods(vi, vj, e, inverse)
                 dE = (0.5 * (wi * wi + wj * wj - vi * vi - vj * vj) if e
                       else 0.0)
                 if not isfinite(dE):
                     raise self._overflow_error(order[i], order[j], t_ev)
+                if t_ev - storm_t0[i] >= 1.0:
+                    storm_t0[i] = t_ev
+                    storm_cnt[i] = 0
+                if storm_cnt[i] + 1 > limit:
+                    raise self._storm_error(order[i], t_ev)
+                if t_ev - storm_t0[j] >= 1.0:
+                    storm_t0[j] = t_ev
+                    storm_cnt[j] = 0
+                if storm_cnt[j] + 1 > limit:
+                    raise self._storm_error(order[j], t_ev)
+                # no refusal past this point: apply the event
+                t_last = t_ev
+                storm_cnt[i] += 1
+                storm_cnt[j] += 1
+                last[i] = last[j] = t_ev
+                if elastic:
+                    tc_elastic += 1
                 v[i] = wi
                 v[j] = wj
                 cnt[i] += 1
                 cnt[j] += 1
                 processed += 1
-                if t_ev - storm_t0[i] >= 1.0:
-                    storm_t0[i] = t_ev
-                    storm_cnt[i] = 0
-                storm_cnt[i] += 1
-                if storm_cnt[i] > limit:
-                    raise self._storm_error(order[i], t_ev)
-                if t_ev - storm_t0[j] >= 1.0:
-                    storm_t0[j] = t_ev
-                    storm_cnt[j] = 0
-                storm_cnt[j] += 1
-                if storm_cnt[j] > limit:
-                    raise self._storm_error(order[j], t_ev)
                 if log is not None:
                     log_t(t0 + t_ev)
                     log_i(order[i])
@@ -371,24 +372,30 @@ class Simulation:
                         predict(i - 1, i, 0.0, t_ev)
                 elif box is not None and n - 1 != j:
                     predict(n - 1, i, box, t_ev)
+        except EventStormError:
+            push(heap, entry)  # the refused contact stays pending
+            raise
         finally:
+            self.t = t_last
             self.n_events += processed
             self.n_stale_pops += stale
             self.n_tc_elastic += tc_elastic
-        return processed, t_last, stopped
+        return processed, stopped
 
     def _run_pairs(self, t_end, budget):
         """The all-pairs event loop; returns what :meth:`_run_adjacent`
         does.  Each event runs inline in that loop's order: flight, graze
-        and overlap check, TC rule, collision map, dE guard, counters, storm
-        guard, log row, then i and j are predicted afresh against everyone.
+        and overlap check, TC rule, collision map, dE guard, storm guard,
+        counters, log row, then i and j are predicted afresh against
+        everyone.  An entry is popped, and the clock moved to it, only once
+        no guard refuses it.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, everyone, box, log = (self._last_event, self.order, self.box,
                                     self.log)
+        storm_t0, storm_cnt = self._storm_t0, self._storm_cnt
         tc, t0, inverse = self.tc_threshold, self._t0, self.rule == "inverse"
         processed = 0
-        t_last = None  # time of the last event popped and applied
         stopped = False
         while heap:
             t_ev, i, j, ci, cj = heap[0]
@@ -401,11 +408,11 @@ class Simulation:
             if processed >= budget:
                 stopped = True
                 break
-            heapq.heappop(heap)
-            t_last = t_ev
             x[i] += v[i] * (t_ev - tl[i])
             tl[i] = t_ev
             if i == j:  # horizon re-check: predict i afresh from t_ev
+                heapq.heappop(heap)
+                self.t = t_ev
                 cnt[i] += 1
                 self._predict(i, everyone[everyone != i])
                 continue
@@ -424,11 +431,11 @@ class Simulation:
             if g_n <= 0.0:  # grazing, or a contact the clock cannot resolve
                 if r < self.sigma * (1.0 - _OVERLAP_SLACK):
                     raise self._overflow_error(i, j, t_ev)
+                heapq.heappop(heap)
+                self.t = t_ev
                 continue
             elastic = tc is not None and (t_ev - last[i] < tc
                                           or t_ev - last[j] < tc)
-            last[i] = last[j] = t_ev
-            self.n_tc_elastic += elastic
             eps = Inelasticity(0.0) if elastic else self.eps
             if inverse:
                 vi2, vj2 = core.precollide(vi, vj, eta, eps)
@@ -440,18 +447,23 @@ class Simulation:
                 raise self._overflow_error(i, j, t_ev)
             if not eps.epsilon:
                 dE = 0.0
+            for k in (i, j):
+                if t_ev - storm_t0[k] >= 1.0:
+                    storm_t0[k] = t_ev
+                    storm_cnt[k] = 0
+                if storm_cnt[k] + 1 > self.storm_limit:
+                    raise self._storm_error(k, t_ev)
+            heapq.heappop(heap)
+            self.t = t_ev
+            last[i] = last[j] = t_ev
+            self.n_tc_elastic += elastic
             v[i] = vi2
             v[j] = vj2
             processed += 1
             self.n_events += 1
             for k in (i, j):
                 cnt[k] += 1
-                if t_ev - self._storm_t0[k] >= 1.0:
-                    self._storm_t0[k] = t_ev
-                    self._storm_cnt[k] = 0
-                self._storm_cnt[k] += 1
-                if self._storm_cnt[k] > self.storm_limit:
-                    raise self._storm_error(k, t_ev)
+                storm_cnt[k] += 1
             if log is not None:
                 log.t.append(t0 + t_ev)
                 log.i.append(i)
@@ -461,7 +473,7 @@ class Simulation:
                 log.dE.append(dE)
             self._predict(i, everyone[everyone != i])
             self._predict(j, everyone[(everyone != i) & (everyone != j)])
-        return processed, t_last, stopped
+        return processed, stopped
 
     def state(self) -> SystemState:
         """Synchronized snapshot at the current simulation time."""

@@ -11,6 +11,7 @@ from granulab.core import (
     sample_chaotic_state,
 )
 from granulab.dynamics import (
+    _OVERLAP_SLACK,
     Simulation,
     TrajectoryLog,
     advance,
@@ -279,7 +280,33 @@ class TestAdvance:
             sim = Simulation(state, engine=engine, storm_limit=1)
             with pytest.raises(EventStormError, match=f"particle {label}:"):
                 sim.run(dt=1.0)
-            assert sim.n_events == 2  # the event that tripped the guard counts
+            assert sim.n_events == 1  # the refused event does not count
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_refusal_applies_nothing(self, engine):
+        # a collapsing ring: the refused collision is neither applied,
+        # counted nor logged, the clock stops at the last event applied, and
+        # the refused contact stays pending, so a second run refuses it again
+        # and leaves the state bitwise as the first left it
+        s = random_state_1d(np.random.default_rng(31), 100, box=1.0,
+                            sigma=0.002, eps=0.25)
+        log = TrajectoryLog()
+        sim = Simulation(s, log=log, engine=engine, storm_limit=50)
+        with pytest.raises(EventStormError, match="particle 52:") as first:
+            sim.run(dt=1.0)
+        out = sim.state()
+        assert sim.n_events == log.n_events == 329
+        assert sim.t == log.t[-1] - s.time
+        assert out.is_allowed(tol=_OVERLAP_SLACK)
+        counters = (sim.n_events, sim.n_stale_pops, sim.n_tc_elastic, sim.t)
+        with pytest.raises(EventStormError) as second:
+            sim.run(dt=1.0)
+        assert str(second.value) == str(first.value)
+        assert (sim.n_events, sim.n_stale_pops, sim.n_tc_elastic,
+                sim.t) == counters
+        again = sim.state()
+        assert again.q.tobytes() == out.q.tobytes()
+        assert again.p.tobytes() == out.p.tobytes()
 
     def test_refuses_overlap_and_negative_dt(self):
         q, p = np.array([[0.0], [0.05]]), np.array([[1.0], [0.0]])
@@ -993,11 +1020,11 @@ class TestGoldenAllPairs:
         assert str(refusal.value) == (
             "particle 1: more than 3 events within unit time at t=1.46561; "
             "likely inelastic collapse (consider tc_threshold)")
-        # the refused collision is applied and counted, but not logged
-        assert (sim.n_events, len(log.t)) == (13, 12)
+        # the refused collision is neither applied, counted nor logged
+        assert (sim.n_events, len(log.t)) == (12, 12)
         assert digest(*_log_columns(log), np.array(
             [sim.n_events, sim.n_stale_pops, sim.n_tc_elastic]))[:16] == (
-            "6ff8871619bdf7c1")
+            "b609e7246d591a9a")
 
 
 class TestInverseOverflow:
