@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Inelasticity, SystemState, _gap_positions
 from .dynamics import Simulation, advance, evolve_rods_ensemble
-from .errors import ConfigError
+from .errors import ConfigError, EventStormError
 
 # element 0 of the index set stands for the distinguished cluster {Y\Z};
 # elements 1..n are the adjoined singleton particles
@@ -282,7 +282,8 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
     (value, stderr).  Order 1 is defined only while every composed
     scattering map meets allowed configurations: at moderate t (t=1,
     sigma=0.05, say) a map can meet overlapping rods and raise ``ValueError``,
-    and on a ring the inverse flow can blow up and raise ``EventStormError``.
+    and on a ring the inverse flow can blow up and raise ``EventStormError``;
+    the message names the Monte Carlo sample and the term.
     """
     q1, p1 = (np.asarray(a, dtype=float) for a in x1)
     q2, p2 = (np.asarray(a, dtype=float) for a in x2)
@@ -318,8 +319,16 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
                 samples[m] = 0.0
                 continue
             acc = 0.0
-            for coeff, qq, pp, w in _apply_terms(term_list, qm, pm, t, sigma,
-                                                 eps, box, "state"):
+            for term in term_list:
+                try:
+                    coeff, qq, pp, w = next(_apply_terms(
+                        (term,), qm, pm, t, sigma, eps, box, "state"))
+                except (ValueError, EventStormError) as exc:
+                    maps = " then ".join(str(sorted(op)) for op in term[1])
+                    raise type(exc)(
+                        f"order 1, Monte Carlo sample {m}, term with "
+                        f"coefficient {term[0]} and maps {maps}: {exc}"
+                    ) from exc
                 acc += coeff * w * (f1_t(qq[0], pp[0]) * f1_t(qq[1], pp[1])
                                     * f1_t(qq[2], pp[2]))
             samples[m] = acc / denom

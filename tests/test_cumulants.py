@@ -266,6 +266,15 @@ class TestMarginalFunctionalF2:
             mc_samples=200, rng=np.random.default_rng(0), box=box)
         assert np.isfinite(val) and err > 0.0
 
+    def test_order1_refusal_names_sample_and_term(self):
+        # the line reproducer of the xfail below: the refusal keeps its type
+        # and says which Monte Carlo sample and which term met it
+        with pytest.raises(ValueError, match=(
+                r"^order 1, Monte Carlo sample 0, term with coefficient -1 "
+                r"and maps \[0, 1\] then \[0, 2\]: initial configuration "
+                r"has overlapping particles$")):
+            self.order1_at_t1(0.0, None)
+
     @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
         "ROADMAP item 15: a composed scattering map meets an overlapping "
         "intermediate configuration"))

@@ -282,6 +282,16 @@ class TestAdvance:
                 sim.run(dt=1.0)
             assert sim.n_events == 1  # the refused event does not count
 
+    def test_ring_of_two_predicts_its_pair_once(self):
+        # on a ring of two the pair left of i is the pair right of j: the
+        # loop pushes it once, so no duplicate entry is popped stale
+        s = SystemState(np.array([[0.1], [0.6]]), np.array([[1.0], [-1.0]]),
+                        0.05, Inelasticity(0.0), box=1.0)
+        sim = Simulation(s)
+        assert sim.run(dt=3.0) == 7
+        assert sim.n_stale_pops == 0
+        assert Simulation(s, engine="allpairs").run(dt=3.0) == 7
+
     @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
     def test_refusal_applies_nothing(self, engine):
         # a collapsing ring: the refused collision is neither applied,
