@@ -296,6 +296,18 @@ class TestSystemState:
                         sigma=0.6, eps=Inelasticity(0.0), box=1.0)
 
 
+class TestUniformMaxwellian:
+    @pytest.mark.parametrize("d, pin", [
+        (1, "0d6aee1e2f441f25"), (3, "c98869f082de01b9")])
+    def test_momentum_pdf_golden(self, d, pin):
+        # bitwise pin of the Gaussian momentum density on (M, d) inputs,
+        # at a temperature other than 1
+        p = np.random.default_rng(3).normal(size=(50, d)) * 1.5
+        out = UniformMaxwellian(d=d, temperature=0.7).momentum_pdf(p)
+        assert out.shape == (50,)
+        assert digest(out)[:16] == pin
+
+
 class Counting:
     """A one-particle sampler that is not a UniformMaxwellian, so
     sample_chaotic_state takes its rejection path; counts its draws."""

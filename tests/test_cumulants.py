@@ -259,6 +259,19 @@ class TestMarginalFunctionalF2:
         assert np.isfinite(v1) and err > 0.0
         assert abs(v1 - v0) <= 0.1 * v0
 
+    @pytest.mark.parametrize("box, pins", [
+        (1.0, ("0x1.0ba142fbf7ff8p-3", "0x1.4ef4b7ab41d7ep-10")),
+        (None, ("0x1.0bf3811706578p-3", "0x1.5085fc9ddcabep-10")),
+    ], ids=["ring", "line"])
+    def test_order1_golden(self, box, pins):
+        # the inputs of test_order1_correction_is_a_small_shift: value and
+        # stderr of the order-1 Monte Carlo term, bitwise
+        x1, x2 = self.x(0.3, -0.4), self.x(0.6, 0.4)
+        val, err = marginal_functional_F2(
+            0.2, self.sampler, x1, x2, 0.05, self.eps, order=1,
+            mc_samples=400, rng=np.random.default_rng(7), box=box)
+        assert hex_floats(val, err) == pins
+
     def order1_at_t1(self, eps, box):
         x1, x2 = self.x(0.3, -0.4), self.x(0.6, 0.4)
         val, err = marginal_functional_F2(

@@ -318,6 +318,51 @@ class TestAdvance:
         assert again.q.tobytes() == out.q.tobytes()
         assert again.p.tobytes() == out.p.tobytes()
 
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    @pytest.mark.parametrize("limit, outcome", [
+        (0, (0, 88)), (0.5, (0, 88)), (1, (17, 92)), (50, (329, 52)),
+        (50.5, (329, 52)), (-1, (0, 88)), (-np.inf, (0, 88)),
+        (np.inf, None), (np.nan, None)],
+        ids=["0", "0.5", "1", "50", "50.5", "-1", "-inf", "inf", "nan"])
+    def test_storm_limit_refusal_event(self, engine, limit, outcome):
+        # the collapsing ring of test_refusal_applies_nothing: the number of
+        # events applied before each storm_limit refuses, and the particle
+        # named; an infinite or NaN limit never refuses, and the budget of
+        # 400 events ends the run
+        s = random_state_1d(np.random.default_rng(31), 100, box=1.0,
+                            sigma=0.002, eps=0.25)
+        sim = Simulation(s, engine=engine, storm_limit=limit)
+        if outcome is None:
+            assert sim.run(dt=1.0, max_events=400) == 400
+            return
+        events, particle = outcome
+        with pytest.raises(EventStormError, match=f"^particle {particle}: "):
+            sim.run(dt=1.0, max_events=400)
+        assert sim.n_events == events
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_overlap_boundary(self, engine):
+        # a line, and a ring of two whose smallest gap is the wrap gap, are
+        # accepted at a smallest gap of exactly sigma (1 - slack) and refused
+        # one ulp below; the positions make each gap's subtraction exact
+        sigma = 0.3
+        bound = sigma * (1.0 - _OVERLAP_SLACK)
+        assert bound.hex() == "0x1.3333332e0bc94p-2"
+        for gap, allowed in ((bound, True),
+                             (float(np.nextafter(bound, 0.0)), False)):
+            line = SystemState(np.array([[1.0], [0.0], [gap]]),
+                               np.zeros((3, 1)), sigma, Inelasticity(0.0))
+            ring = SystemState(np.array([[0.75 - gap], [0.0]]),
+                               np.zeros((2, 1)), sigma, Inelasticity(0.0),
+                               box=0.75)
+            for s in (line, ring):
+                assert s.min_separation().hex() == gap.hex()
+                if allowed:
+                    Simulation(s, engine=engine)
+                else:
+                    with pytest.raises(ValueError, match="overlapping"):
+                        Simulation(s, engine=engine)
+
     def test_refuses_overlap_and_negative_dt(self):
         q, p = np.array([[0.0], [0.05]]), np.array([[1.0], [0.0]])
         with pytest.raises(ValueError, match="overlapping"):
