@@ -242,10 +242,8 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     pp_edges = np.linspace(-p_lim, p_lim, _PAIR_P_BINS + 1)
 
     # per row, one child per replica, then the estimator's own
-    master = np.random.SeedSequence(seed)
-    seeds = [np.random.SeedSequence(entropy=master.entropy,
-                                    spawn_key=(si,)).spawn(replicas + 1)
-             for si in range(len(sigma_list))]
+    seeds = [row.spawn(replicas + 1) for row in
+             np.random.SeedSequence(seed).spawn(len(sigma_list))]
     task = partial(_replica, n=n,
                    sampler=UniformMaxwellian(length=length, temperature=temp),
                    eps=eps, t=t, fine=(q_edges, p_edges),

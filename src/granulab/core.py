@@ -13,6 +13,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def _normal_component(p1, p2, eta):
     return np.add.reduce(eta * (np.asarray(p1) - np.asarray(p2)), axis=-1)
 
 
-def collide(p1, p2, eta, eps: Inelasticity, check: bool = True):
+def collide(p1, p2, eta, eps: Inelasticity):
     """Forward inelastic collision map.
 
     p1* = p1 - (1-eps) * eta * <eta, p1-p2>, and symmetrically for p2*.
@@ -55,10 +56,10 @@ def collide(p1, p2, eta, eps: Inelasticity, check: bool = True):
     velocity is scaled by -(1 - 2*eps).
 
     Arrays broadcast over leading axes, so batches of collisions can be
-    evaluated in one call.  With ``check=True`` a violated approach condition
-    raises :class:`InvalidCollisionError`.
+    evaluated in one call.  A violated approach condition raises
+    :class:`InvalidCollisionError`.
     """
-    return _collision(p1, p2, eta, eps.epsilon, inverse=False, check=check)
+    return _collision(p1, p2, eta, eps.epsilon, inverse=False, check=True)
 
 
 def precollide(p1, p2, eta, eps: Inelasticity):
@@ -73,10 +74,11 @@ def precollide(p1, p2, eta, eps: Inelasticity):
 
 
 def _collision(p1, p2, eta, epsilon, inverse, check):
-    """The body of :func:`collide` and :func:`precollide`: rods (a last axis
-    of length 1, where ``eta`` is +-1 and drops out exactly) go to
-    :func:`collide_rods` and come back in the broadcast shape of ``p1`` and
-    ``p2``; every other dimension takes the vector kick."""
+    """The body of :func:`collide`, :func:`precollide` and the all-pairs
+    engine's unchecked collision: rods (a last axis of length 1, where
+    ``eta`` is +-1 and drops out exactly) go to :func:`collide_rods` and
+    come back in the broadcast shape of ``p1`` and ``p2``; every other
+    dimension takes the vector kick."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -130,6 +132,23 @@ def collision_jacobian(eps: Inelasticity) -> float:
     [[eps, 1-eps], [1-eps, eps]] has determinant of magnitude 1 - 2*eps.
     """
     return 1.0 - 2.0 * eps.epsilon
+
+
+def _gaussian(p, variance, d):
+    """(2 pi variance)^(-d/2) exp(-|p|^2 / (2 variance)): the centred
+    Gaussian density in d dimensions at p, summing over the last axis."""
+    return ((2.0 * np.pi * variance) ** (-0.5 * d)
+            * np.exp(-0.5 * np.add.reduce(p * p, axis=-1) / variance))
+
+
+def _mean_stderr(x):
+    """Mean and stderr of the samples x, bitwise numpy's ``x.mean()`` and
+    ``x.std(ddof=1) / sqrt(n)`` (inf for one sample); overwrites x."""
+    n = len(x)
+    mean = float(np.add.reduce(x) / n)
+    np.square(np.subtract(x, mean, out=x), out=x)
+    return mean, (math.sqrt(np.add.reduce(x) / (n - 1)) / math.sqrt(n)
+                  if n > 1 else math.inf)
 
 
 @dataclass
@@ -212,8 +231,7 @@ class UniformMaxwellian:
 
     def momentum_pdf(self, p) -> np.ndarray:
         p = np.atleast_2d(np.asarray(p, dtype=float))
-        norm = (2.0 * np.pi * self.temperature) ** (-0.5 * self.d)
-        return norm * np.exp(-0.5 * np.sum(p * p, axis=-1) / self.temperature)
+        return _gaussian(p, self.temperature, self.d)
 
 
 def _gap_positions(m: int, n: int, length: float, sigma: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Inelasticity, SystemState, _gap_positions
+from .core import Inelasticity, SystemState, _gap_positions, _mean_stderr
 from .dynamics import Simulation, advance, evolve_rods_ensemble
 from .errors import ConfigError, EventStormError
 
@@ -332,9 +332,8 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
                 acc += coeff * w * (f1_t(qq[0], pp[0]) * f1_t(qq[1], pp[1])
                                     * f1_t(qq[2], pp[2]))
             samples[m] = acc / denom
-        value += float(samples.mean())
-        stderr = float(samples.std(ddof=1) / np.sqrt(mc_samples)) \
-            if mc_samples > 1 else np.inf
+        mean, stderr = _mean_stderr(samples)
+        value += mean
     return value, stderr
 
 
@@ -396,13 +395,8 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
                     out += np.multiply(coeff, v, out=term)
         rhs[s:s + k] = sum(bvals[tuple(range(n))])
 
-    # mean(), std(ddof=1) and mean |rhs| with numpy's float operations,
-    # in place on lhs and rhs
     res = np.subtract(lhs, rhs, out=lhs)
-    mean = float(np.add.reduce(res) / m)
+    # the mean |rhs| with numpy's float operations, in place on rhs
     scale = float(np.add.reduce(np.abs(rhs, out=rhs)) / m) + 1.0
-    np.square(np.subtract(res, mean, out=res), out=res)
-    stderr = (math.sqrt(np.add.reduce(res) / (m - 1)) / math.sqrt(m)
-              if m > 1 else math.inf)
-    stderr = max(stderr, 1e-14 * scale)
-    return mean, stderr
+    mean, stderr = _mean_stderr(res)
+    return mean, max(stderr, 1e-14 * scale)

@@ -2,8 +2,8 @@
 
 Free flight between collisions, earliest-event scheduling with invalidation
 counters, momentum updates through the single collision algebra in
-:mod:`granulab.core` (``collide_rods`` on the 1D fast paths, ``collide`` and
-``precollide`` in the all-pairs engine).  There are two engines:
+:mod:`granulab.core` (``collide_rods`` on the 1D fast paths, ``_collision``
+in the all-pairs engine).  There are two engines:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
   only neighbours can collide), with lazy per-particle times -- the fast
@@ -436,16 +436,13 @@ class Simulation:
                 continue
             elastic = tc is not None and (t_ev - last[i] < tc
                                           or t_ev - last[j] < tc)
-            eps = Inelasticity(0.0) if elastic else self.eps
-            if inverse:
-                vi2, vj2 = core.precollide(vi, vj, eta, eps)
-            else:
-                vi2, vj2 = core.collide(vi, vj, eta, eps, check=False)
+            e = 0.0 if elastic else self.eps.epsilon
+            vi2, vj2 = core._collision(vi, vj, eta, e, inverse, check=False)
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 dE = float(0.5 * (vi2 @ vi2 + vj2 @ vj2 - vi @ vi - vj @ vj))
             if not math.isfinite(dE):
                 raise self._overflow_error(i, j, t_ev)
-            if not eps.epsilon:
+            if not e:
                 dE = 0.0
             for k in (i, j):
                 if t_ev - storm_t0[k] >= 1.0:

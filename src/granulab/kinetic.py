@@ -15,25 +15,21 @@ weight (inverse-map Jacobian times the kernel scaling).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Inelasticity, collide_rods, precollide
+from .core import (Inelasticity, _gaussian, _mean_stderr, collide_rods,
+                   precollide)
 from .errors import ConfigError, DtGuardError
 
 
 def maxwellian_product_f2(temperature: float = 1.0, d: int = 1):
     """Spatially uniform product two-particle density with Gaussian momenta,
     at unit number density; the density takes (M, d) arrays."""
-    norm = (2.0 * np.pi * temperature) ** (-0.5 * d)
 
     def f2(q1, p1, q2, p2):
-        s1 = np.add.reduce(p1 * p1, axis=-1)
-        s2 = np.add.reduce(p2 * p2, axis=-1)
-        return (norm * np.exp(-0.5 * s1 / temperature)
-                * (norm * np.exp(-0.5 * s2 / temperature)))
+        return _gaussian(p1, temperature, d) * _gaussian(p2, temperature, d)
 
     return f2
 
@@ -63,8 +59,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
 
     p_scale = 2.0
     p2 = rng.normal(0.0, p_scale, size=(m, d))
-    rho = ((2.0 * np.pi * p_scale ** 2) ** (-0.5 * d)
-           * np.exp(-0.5 * np.add.reduce(p2 * p2, axis=1) / p_scale ** 2))
+    rho = _gaussian(p2, p_scale ** 2, d)
     g = p1 - p2
     if d == 1:
         eta = np.where(g < 0.0, -1.0, 1.0)  # sign(g), with +1 at g == 0
@@ -92,13 +87,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
 
     vals = prefac * measure * g_n * (
         gain / (1.0 - 2.0 * eps.epsilon) ** 2 - loss) / rho
-    # vals.mean() and vals.std(ddof=1), with the same float operations
-    mean = np.add.reduce(vals) / m
-    dev = vals - mean
-    dev *= dev
-    value = float(mean)
-    stderr = math.sqrt(np.add.reduce(dev) / (m - 1)) / math.sqrt(m)
-    return value, stderr
+    return _mean_stderr(vals)
 
 
 # -- 1D DSMC ---------------------------------------------------------------

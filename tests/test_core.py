@@ -5,6 +5,7 @@ from granulab.core import (
     Inelasticity,
     SystemState,
     UniformMaxwellian,
+    _collision,
     _gap_positions,
     collide,
     collide_rods,
@@ -113,7 +114,8 @@ class TestPrecollide:
             np.testing.assert_allclose(b2, p2, atol=1e-12 * scale)
             # and the other composition order
             g1, g2 = precollide(p1, p2, eta, inel)
-            r1, r2 = collide(g1, g2, eta, inel, check=False)
+            r1, r2 = _collision(g1, g2, eta, eps, inverse=False,
+                                check=False)
             np.testing.assert_allclose(r1, p1, atol=1e-12 * scale)
             np.testing.assert_allclose(r2, p2, atol=1e-12 * scale)
 
@@ -173,8 +175,8 @@ class TestCollideRods:
                 if inverse:
                     a1, a2 = precollide(p1, p2, eta, Inelasticity(eps))
                 else:
-                    a1, a2 = collide(p1, p2, eta, Inelasticity(eps),
-                                     check=False)
+                    a1, a2 = _collision(p1, p2, eta, eps, inverse=False,
+                                        check=False)
                 expect = np.array([a1[0], a2[0]]).tobytes()
                 w1, w2 = collide_rods(float(v1), float(v2), eps, inverse)
                 assert np.array([w1, w2]).tobytes() == expect
