@@ -44,8 +44,9 @@ class Inelasticity:
 
 
 def _normal_component(p1, p2, eta):
-    # <eta, p1 - p2>, broadcasting over leading axes
-    return np.add.reduce(eta * (np.asarray(p1) - np.asarray(p2)), axis=-1)
+    # <eta, p1 - p2> in floats, broadcasting over leading axes
+    p1, p2, eta = (np.asarray(a, dtype=float) for a in (p1, p2, eta))
+    return np.add.reduce(eta * (p1 - p2), axis=-1)
 
 
 def collide(p1, p2, eta, eps: Inelasticity):
@@ -118,10 +119,7 @@ def collide_rods(v1, v2, epsilon: float, inverse: bool = False):
 
 def dissipation(p1, p2, eta, eps: Inelasticity):
     """Kinetic-energy change of a collision, -eps*(1-eps)*<eta, p1-p2>**2."""
-    g = _normal_component(
-        np.asarray(p1, dtype=float), np.asarray(p2, dtype=float),
-        np.asarray(eta, dtype=float),
-    )
+    g = _normal_component(p1, p2, eta)
     return -eps.epsilon * (1.0 - eps.epsilon) * g * g
 
 
@@ -132,6 +130,13 @@ def collision_jacobian(eps: Inelasticity) -> float:
     [[eps, 1-eps], [1-eps, eps]] has determinant of magnitude 1 - 2*eps.
     """
     return 1.0 - 2.0 * eps.epsilon
+
+
+def _min_gap(x, box) -> float:
+    """Smallest gap of the sorted 1D positions x, with the wrap gap
+    x[0] + box - x[-1] on a ring; inf for fewer than two positions."""
+    gaps = np.diff(x) if box is None else np.diff(x, append=x[:1] + box)
+    return float(gaps.min()) if len(x) > 1 else math.inf
 
 
 def _gaussian(p, variance, d):
@@ -186,19 +191,16 @@ class SystemState:
 
     def min_separation(self) -> float:
         """Smallest pair distance (minimum image); O(N log N) in 1D."""
-        if self.n < 2:
-            return np.inf
         if self.d == 1:
-            if self.box is None:
-                return float(np.diff(np.sort(self.q[:, 0])).min())
-            x = np.sort(np.mod(self.q[:, 0], self.box))
-            return float(np.diff(x, append=x[0] + self.box).min())
+            x = self.q[:, 0] if self.box is None else np.mod(self.q[:, 0],
+                                                             self.box)
+            return _min_gap(np.sort(x), self.box)
         dq = self.q[:, None, :] - self.q[None, :, :]
         if self.box is not None:
             dq -= self.box * np.round(dq / self.box)
         dist = np.linalg.norm(dq, axis=-1)
         iu = np.triu_indices(self.n, 1)
-        return float(dist[iu].min())
+        return float(dist[iu].min(initial=np.inf))
 
     def is_allowed(self, tol: float = 0.0) -> bool:
         """True when no pair overlaps: all separations >= sigma*(1 - tol)."""

@@ -303,7 +303,7 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
         if mc_samples < 1 or rng is None:
             raise ConfigError("order 1 requires mc_samples >= 1 and an rng")
         term_list = generating_term_list(1, cluster_size=2)
-        samples = np.empty(mc_samples)
+        samples = np.zeros(mc_samples)
         for m in range(mc_samples):
             q3, p3 = f1_sampler.sample(1, rng)
             q3 = q3[0] + p3[0] * t  # propagate the proposal to time t
@@ -312,11 +312,9 @@ def marginal_functional_F2(t: float, f1_sampler, x1, x2, sigma: float,
             qm = np.vstack([q, q3[None, :]])
             pm = np.vstack([p, p3])
             if not SystemState(qm, pm, sigma, eps, box).is_allowed(tol=1e-12):
-                samples[m] = 0.0
                 continue
             denom = f1_t(qm[2], pm[2])
             if denom <= 0.0:
-                samples[m] = 0.0
                 continue
             acc = 0.0
             for term in term_list:
@@ -395,8 +393,7 @@ def duality_residual(b1, f1_sampler, t: float, n_particles: int,
                     out += np.multiply(coeff, v, out=term)
         rhs[s:s + k] = sum(bvals[tuple(range(n))])
 
-    res = np.subtract(lhs, rhs, out=lhs)
+    mean, stderr = _mean_stderr(np.subtract(lhs, rhs, out=lhs))
     # the mean |rhs| with numpy's float operations, in place on rhs
     scale = float(np.add.reduce(np.abs(rhs, out=rhs)) / m) + 1.0
-    mean, stderr = _mean_stderr(res)
     return mean, max(stderr, 1e-14 * scale)

@@ -25,18 +25,20 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from array import array
 from itertools import product
 
 import numpy as np
 
 from . import core
-from .core import Inelasticity, SystemState
+from .core import Inelasticity, SystemState, _min_gap
 from .errors import ConfigError, EventStormError
 
 _TINY = 1e-14
 # relative overlap slack tolerated when validating post-event configurations
 _OVERLAP_SLACK = 1e-9
+_OVERLAP_MESSAGE = "initial configuration has overlapping particles"
 # the normal of every 1D adjacency collision as passed to the algebra (slot i
 # is always the left neighbour); one read-only array shared by the log rows
 _ETA_1D = np.array([1.0])
@@ -122,8 +124,6 @@ class Simulation:
                               "tc_threshold applies to forward runs only")
         if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
             raise ValueError("positions and momenta must be finite")
-        if not state.is_allowed(tol=_OVERLAP_SLACK):
-            raise ValueError("initial configuration has overlapping particles")
         if engine == "auto":
             engine = "adjacent" if state.d == 1 else "allpairs"
         self.engine = engine
@@ -155,16 +155,21 @@ class Simulation:
             if self.d != 1:
                 raise ValueError("adjacency engine requires d == 1")
             x = state.q[:, 0] if self.box is None else np.mod(state.q[:, 0], self.box)
-            order = np.argsort(x)  # distinct; a ring orders x in [0, box)
+            order = np.argsort(x)  # a ring orders x in [0, box)
+            x = x[order]
+            if _min_gap(x, self.box) < self.sigma * (1.0 - _OVERLAP_SLACK):
+                raise ValueError(_OVERLAP_MESSAGE)
             # sorted slot -> label, copied as bytes: no Python int per rod
             self.order = array("q", order.astype("q").tobytes())
-            self.x = x[order].tolist()               # unwrapped, stays sorted
+            self.x = x.tolist()                      # unwrapped, stays sorted
             self.v = p[order, 0].tolist()
             for i in range(self.n - 1):
                 self._predict_adjacent(i, i + 1, 0.0, 0.0)
             if self.box is not None and self.n:
                 self._predict_adjacent(self.n - 1, 0, self.box, 0.0)
         elif self.engine == "allpairs":
+            if not state.is_allowed(tol=_OVERLAP_SLACK):
+                raise ValueError(_OVERLAP_MESSAGE)
             self.order = np.arange(self.n)  # slot -> label: the identity
             self.x = state.q.copy()
             self.v = p.copy()
@@ -263,16 +268,19 @@ class Simulation:
         t_end = math.inf if dt is None else self.t + dt
         if dt is not None and dt < 0:
             raise ValueError("dt must be nonnegative")
-        budget = math.inf if max_events is None else max_events
+        # int bounds; a rod's event is refused at ``cap`` events in its window
+        budget = sys.maxsize if max_events is None else max_events
+        limit = self.storm_limit
+        cap = math.floor(max(limit, 0.0)) if limit < math.inf else sys.maxsize
         if self.engine == "adjacent":
-            processed, stopped = self._run_adjacent(t_end, budget)
+            processed, stopped = self._run_adjacent(t_end, budget, cap)
         else:
-            processed, stopped = self._run_pairs(t_end, budget)
+            processed, stopped = self._run_pairs(t_end, budget, cap)
         if not stopped and t_end < math.inf:
             self.t = t_end
         return processed
 
-    def _run_adjacent(self, t_end, budget):
+    def _run_adjacent(self, t_end, budget, cap):
         """The 1D event loop: returns (collisions, whether the budget
         stopped it), with the clock at the last event applied.
 
@@ -294,7 +302,7 @@ class Simulation:
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
                                      self._storm_cnt)
         n, box, log, order = self.n, self.box, self.log, self.order
-        eps, tc, limit = self.eps.epsilon, self.tc_threshold, self.storm_limit
+        eps, tc = self.eps.epsilon, self.tc_threshold
         inverse, t0 = self.rule == "inverse", self._t0
         pop, push = heapq.heappop, heapq.heappush
         collide_rods, predict = core.collide_rods, self._predict_adjacent
@@ -335,12 +343,12 @@ class Simulation:
                 if t_ev - storm_t0[i] >= 1.0:
                     storm_t0[i] = t_ev
                     storm_cnt[i] = 0
-                if storm_cnt[i] + 1 > limit:
+                if storm_cnt[i] >= cap:
                     raise self._storm_error(order[i], t_ev)
                 if t_ev - storm_t0[j] >= 1.0:
                     storm_t0[j] = t_ev
                     storm_cnt[j] = 0
-                if storm_cnt[j] + 1 > limit:
+                if storm_cnt[j] >= cap:
                     raise self._storm_error(order[j], t_ev)
                 # no refusal past this point: apply the event
                 t_last = t_ev
@@ -382,7 +390,7 @@ class Simulation:
             self.n_tc_elastic += tc_elastic
         return processed, stopped
 
-    def _run_pairs(self, t_end, budget):
+    def _run_pairs(self, t_end, budget, cap):
         """The all-pairs event loop; returns what :meth:`_run_adjacent`
         does.  Each event runs inline in that loop's order: flight, graze
         and overlap check, TC rule, collision map, dE guard, storm guard,
@@ -448,7 +456,7 @@ class Simulation:
                 if t_ev - storm_t0[k] >= 1.0:
                     storm_t0[k] = t_ev
                     storm_cnt[k] = 0
-                if storm_cnt[k] + 1 > self.storm_limit:
+                if storm_cnt[k] >= cap:
                     raise self._storm_error(k, t_ev)
             heapq.heappop(heap)
             self.t = t_ev

@@ -27,11 +27,8 @@ from .errors import ConfigError, DtGuardError
 def maxwellian_product_f2(temperature: float = 1.0, d: int = 1):
     """Spatially uniform product two-particle density with Gaussian momenta,
     at unit number density; the density takes (M, d) arrays."""
-
-    def f2(q1, p1, q2, p2):
-        return _gaussian(p1, temperature, d) * _gaussian(p2, temperature, d)
-
-    return f2
+    return lambda q1, p1, q2, p2: (_gaussian(p1, temperature, d)
+                                   * _gaussian(p2, temperature, d))
 
 
 def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
@@ -63,8 +60,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     g = p1 - p2
     if d == 1:
         eta = np.where(g < 0.0, -1.0, 1.0)  # sign(g), with +1 at g == 0
-        measure = 1.0
-        prefac = 1.0
+        measure = prefac = 1.0
     else:
         eta = rng.normal(size=(m, 3))
         eta /= np.sqrt(np.add.reduce(eta * eta, axis=1, keepdims=True))
