@@ -60,13 +60,12 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     g = p1 - p2
     if d == 1:
         eta = np.where(g < 0.0, -1.0, 1.0)  # sign(g), with +1 at g == 0
-        measure = prefac = 1.0
+        prefac = 1.0
     else:
         eta = rng.normal(size=(m, 3))
         eta /= np.sqrt(np.add.reduce(eta * eta, axis=1, keepdims=True))
         eta[np.add.reduce(eta * g, axis=1) < 0.0] *= -1.0
-        measure = 2.0 * np.pi
-        prefac = sigma ** 2
+        prefac = 2.0 * np.pi * sigma ** 2  # half-sphere measure times sigma^2
     g_n = np.add.reduce(eta * g, axis=1)
     p1_pre, p2_pre = precollide(p1, p2, eta, eps)
 
@@ -81,7 +80,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     if not (np.isfinite(gain).all() and np.isfinite(loss).all()):
         raise ConfigError("two-particle density returned non-finite values")
 
-    vals = prefac * measure * g_n * (
+    vals = prefac * g_n * (
         gain / (1.0 - 2.0 * eps.epsilon) ** 2 - loss) / rho
     return _mean_stderr(vals)
 
