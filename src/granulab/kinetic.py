@@ -4,7 +4,8 @@ Two pieces share the collision algebra of :mod:`granulab.core`:
 
 * a Monte Carlo evaluator of the hard-sphere collision integral with
   finite-diameter gain/loss offsets, in one and three dimensions, acting on
-  a caller-supplied two-particle density (``precollide``);
+  a caller-supplied two-particle density (``precollide``, and core's shared
+  Gaussian density ``_gaussian`` and Monte Carlo summary ``_mean_stderr``);
 * a direct-simulation Monte Carlo (DSMC) solver for the one-dimensional
   kinetic equation of point particles: streaming plus per-cell randomized
   binary collisions with kernel |p - p1| under a per-cell majorant, applied
@@ -45,7 +46,7 @@ def enskog_collision_integral(f2_eval, x1, sigma: float, eps: Inelasticity,
     relative momentum, in 3D it is drawn uniformly from the approach
     half-sphere (measure 2*pi) and the prefactor sigma^2 applies.
     Momentum nodes use a centered Gaussian proposal of scale 2.
-    Returns (value, stderr).
+    Returns (value, stderr): the samples' mean and standard error.
     """
     if d not in (1, 3):
         raise ConfigError(f"dimension must be 1 or 3, got {d}")
