@@ -1,9 +1,10 @@
 """Exact event-driven dynamics of inelastic hard spheres.
 
 Free flight between collisions, earliest-event scheduling with invalidation
-counters, momentum updates through the single collision algebra in
-:mod:`granulab.core` (``collide_rods`` on the 1D fast paths, ``_collision``
-in the all-pairs engine).  There are two engines:
+counters (both engines pop an entry only when stale or applied, so an
+interrupted run resumes with no contact lost), momentum updates through the
+single collision algebra in :mod:`granulab.core` (``collide_rods`` on the 1D
+fast paths, ``_collision`` in the all-pairs engine).  There are two engines:
 
 * a 1D engine using sorted-order adjacency (rods never pass each other, so
   only neighbours can collide), with lazy per-particle times -- the fast
@@ -90,7 +91,8 @@ class Simulation:
     inelastic collapse: rapid event sequences stop dissipating, so a
     collapsing cluster sorts its velocities elastically and disperses);
     it is off by default.  ``storm_limit`` aborts the run when any particle
-    exceeds that many events within one unit of time.  ``engine="allpairs"``
+    exceeds that many events within one unit of time; a NaN storm_limit or
+    tc_threshold is refused (``ValueError``).  ``engine="allpairs"``
     runs the all-pairs engine in 1D, as the oracle of the adjacency engine.
 
     ``t`` is the time elapsed in the run, from 0.0: the heap keys, local
@@ -122,6 +124,8 @@ class Simulation:
         if rule == "inverse" and tc_threshold is not None:
             raise ConfigError("the inverse flow has no TC rule; "
                               "tc_threshold applies to forward runs only")
+        if math.isnan(storm_limit) or math.isnan(tc_threshold or 0.0):
+            raise ValueError("storm_limit and tc_threshold must not be NaN")
         if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
             raise ValueError("positions and momenta must be finite")
         if engine == "auto":
@@ -294,9 +298,9 @@ class Simulation:
         rounding keeps the sign), so only (j, right) and (left, i) are
         re-predicted.  A popped entry whose counters match has g_n > _TINY:
         every push required it, and neither velocity has changed since.
-        The entry is popped first and pushed back when the run, the budget
-        or a refusal ends on it; a refused event changes nothing but the
-        rods' flight to it and their storm windows.
+        Entries are popped as in :meth:`_run_pairs`, when stale or applied,
+        so an entry that a run stops or raises on stays pending; a refused
+        event changes nothing but the rods' flight to it and storm windows.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
@@ -304,7 +308,7 @@ class Simulation:
         n, box, log, order = self.n, self.box, self.log, self.order
         eps, tc = self.eps.epsilon, self.tc_threshold
         inverse, t0 = self.rule == "inverse", self._t0
-        pop, push = heapq.heappop, heapq.heappush
+        pop = heapq.heappop
         collide_rods, predict = core.collide_rods, self._predict_adjacent
         isfinite = math.isfinite
         if log is not None:
@@ -316,15 +320,14 @@ class Simulation:
         stopped = False
         try:
             while heap:
-                t_ev, i, j, ci, cj = entry = pop(heap)
+                t_ev, i, j, ci, cj = heap[0]
                 if t_ev > t_end:
-                    push(heap, entry)
                     break
                 if cnt[i] != ci or cnt[j] != cj:
+                    pop(heap)
                     stale += 1
                     continue  # stale prediction
                 if processed >= budget:
-                    push(heap, entry)
                     stopped = True
                     break
                 x[i] = x[i] + v[i] * (t_ev - tl[i])
@@ -351,6 +354,7 @@ class Simulation:
                 if storm_cnt[j] >= cap:
                     raise self._storm_error(order[j], t_ev)
                 # no refusal past this point: apply the event
+                pop(heap)
                 t_last = t_ev
                 storm_cnt[i] += 1
                 storm_cnt[j] += 1
@@ -380,9 +384,6 @@ class Simulation:
                         predict(i - 1, i, 0.0, t_ev)
                 elif box is not None and n - 1 != j:
                     predict(n - 1, i, box, t_ev)
-        except EventStormError:
-            push(heap, entry)  # the refused contact stays pending
-            raise
         finally:
             self.t = t_last
             self.n_events += processed
@@ -396,7 +397,7 @@ class Simulation:
         and overlap check, TC rule, collision map, dE guard, storm guard,
         counters, log row, then i and j are predicted afresh against
         everyone.  An entry is popped, and the clock moved to it, only once
-        no guard refuses it.
+        no guard refuses it (or when it is stale).
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, everyone, box, log = (self._last_event, self.order, self.box,

@@ -81,9 +81,12 @@ class TestExitCodes:
         ["simulate", "--set", "snapshot_times=[-1.0, 0.5]"],
         ["simulate", "--set", "momenta=[[Infinity],[0.0]]"],
         ["simulate", "--set", "positions=[[NaN],[1.0]]"],
+        ["simulate", "--set", "storm_limit=NaN"],
+        ["simulate", "--set", "tc_threshold=NaN"],
     ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples",
             "dsmc-snapshot-late", "simulate-snapshot-early",
-            "simulate-inf-momentum", "simulate-nan-position"])
+            "simulate-inf-momentum", "simulate-nan-position",
+            "simulate-nan-storm-limit", "simulate-nan-tc-threshold"])
     def test_refusals_are_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from granulab import core
 from granulab.core import (
     Inelasticity,
     SystemState,
@@ -318,19 +319,58 @@ class TestAdvance:
         assert again.q.tobytes() == out.q.tobytes()
         assert again.p.tobytes() == out.p.tobytes()
 
+    @pytest.mark.parametrize("engine, collision", [
+        ("adjacent", "collide_rods"), ("allpairs", "_collision")])
+    def test_interrupted_run_resumes(self, engine, collision, monkeypatch):
+        # an exception out of the 50th collision-map call ends the run
+        # before that event is applied; its contact stays pending, so the
+        # resumed run reaches event 60 bitwise as an uninterrupted one does
+        s = random_state_1d(np.random.default_rng(1), 20, box=1.0,
+                            sigma=0.01, eps=0.25)
+        ref = Simulation(s, engine=engine, tc_threshold=1e-9)
+        assert ref.run(max_events=60) == 60
+
+        class Interrupt(Exception):
+            pass
+
+        real, calls = getattr(core, collision), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 50:
+                raise Interrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, collision, failing)
+        sim = Simulation(s, engine=engine, tc_threshold=1e-9)
+        with pytest.raises(Interrupt):
+            sim.run(dt=0.5)
+        assert sim.n_events == 49
+        monkeypatch.undo()
+        assert sim.run(max_events=11) == 11
+        out, want = sim.state(), ref.state()
+        assert sim.n_events == ref.n_events
+        assert out.q.tobytes() == want.q.tobytes()
+        assert out.p.tobytes() == want.p.tobytes()
+        assert out.is_allowed(tol=_OVERLAP_SLACK)
+
     @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
     @pytest.mark.parametrize("limit, outcome", [
         (0, (0, 88)), (0.5, (0, 88)), (1, (17, 92)), (50, (329, 52)),
         (50.5, (329, 52)), (-1, (0, 88)), (-np.inf, (0, 88)),
-        (np.inf, None), (np.nan, None)],
+        (np.inf, None), (np.nan, "refused")],
         ids=["0", "0.5", "1", "50", "50.5", "-1", "-inf", "inf", "nan"])
     def test_storm_limit_refusal_event(self, engine, limit, outcome):
         # the collapsing ring of test_refusal_applies_nothing: the number of
         # events applied before each storm_limit refuses, and the particle
-        # named; an infinite or NaN limit never refuses, and the budget of
-        # 400 events ends the run
+        # named; an infinite limit never refuses, and the budget of 400
+        # events ends the run; a NaN limit is refused at construction
         s = random_state_1d(np.random.default_rng(31), 100, box=1.0,
                             sigma=0.002, eps=0.25)
+        if outcome == "refused":
+            with pytest.raises(ValueError, match="must not be NaN"):
+                Simulation(s, engine=engine, storm_limit=limit)
+            return
         sim = Simulation(s, engine=engine, storm_limit=limit)
         if outcome is None:
             assert sim.run(dt=1.0, max_events=400) == 400
@@ -1254,9 +1294,15 @@ def _overflowing_inverse_pair():
     (lambda: _rods([0.0, 1.0], [np.inf, 0.0]), ValueError, "finite"),
     (lambda: _rods([np.nan, 1.0], [1.0, 0.0]), ValueError, "finite"),
     (lambda: _rods([0.0, 1.0], [1.0, np.nan]), ValueError, "finite"),
+    # a NaN cutoff compares False, so it would switch the TC rule off
+    (lambda: Simulation(two_rods(), engine="adjacent", tc_threshold=np.nan),
+     ValueError, "must not be NaN"),
+    (lambda: Simulation(two_rods(), engine="allpairs", tc_threshold=np.nan),
+     ValueError, "must not be NaN"),
 ], ids=["rule", "adjacent-3d", "engine", "allpairs-energy-overflow",
         "adjacent-forward-overflow", "allpairs-forward-overflow",
-        "inf-momentum", "nan-position", "nan-momentum"])
+        "inf-momentum", "nan-position", "nan-momentum",
+        "adjacent-nan-tc-threshold", "allpairs-nan-tc-threshold"])
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
