@@ -396,8 +396,8 @@ class Simulation:
         does.  Each event runs inline in that loop's order: flight, graze
         and overlap check, TC rule, collision map, dE guard, storm guard,
         counters, log row, then i and j are predicted afresh against
-        everyone.  An entry is popped, and the clock moved to it, only once
-        no guard refuses it (or when it is stale).
+        everyone.  A stale entry is popped; any other is popped, and the
+        clock moved to it, only once no guard refuses it.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, everyone, box, log = (self._last_event, self.order, self.box,
