@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from .config import check_config
 from .core import Inelasticity, UniformMaxwellian, sample_chaotic_state
 from .dynamics import Simulation
 from .errors import ConfigError
@@ -43,13 +44,6 @@ _PAIR_Q_BINS, _PAIR_P_BINS = 2, 8  # coarse grid of G2
 _DSMC_CELLS = 8  # cells of the DSMC reference
 _TC_THRESHOLD = 1e-9  # elastic cutoff of the rod runs
 _FLOOR_TRIALS = 3  # synthetic data sets averaged into the G2 floor
-# the study's parameters with their defaults, which are the CLI's too
-STUDY_DEFAULTS = {
-    "sigma_list": [0.04, 0.02, 0.01], "eps": 0.25, "t": 1.0,
-    "replicas": 32, "seed": 0, "n_particles": 10_000,
-    "length": 10_000.0, "temperature": 1.0, "dsmc_samples": 100_000,
-    "max_pairs": 20_000,
-}
 
 
 def _digitize(x, edges):
@@ -196,10 +190,12 @@ def _mapped(fn, workers: int, *args):
 def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     """Scaling study: event-driven rod ensembles vs the limit equation.
 
-    Reads the keys of ``STUDY_DEFAULTS``, each defaulting to its value
-    there; any other key raises ConfigError.  The number density
-    n_particles / length is the diameter-free scale shared with the DSMC
-    reference, so distances across sigma reflect only the particle system.
+    Reads the keys of the CLI's ``bgl-study`` config through
+    :func:`~granulab.config.check_config`: a key left out takes its
+    default, and an unknown key or a bad value raises ConfigError.  The
+    number density n_particles / length is the diameter-free scale shared
+    with the DSMC reference, so distances across sigma reflect only the
+    particle system.
 
     With ``workers`` > 1 the replicas of every row run on that many worker
     processes (at most one per replica), while this process computes the
@@ -208,26 +204,14 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
     of its replica (see ``_replica``), not the snapshot: unpickled snapshots
     would stay resident in this process's heap.
     """
-    unknown = sorted(set(config) - set(STUDY_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown bg_study config key(s) {unknown}")
-    cfg = {**STUDY_DEFAULTS, **config}
+    cfg = check_config("bgl-study", config)
     sigma_list = sorted(cfg["sigma_list"], reverse=True)
-    eps = Inelasticity(float(cfg["eps"]))
-    t = float(cfg["t"])
-    replicas = int(cfg["replicas"])
-    n = int(cfg["n_particles"])
-    length = float(cfg["length"])
-    temp = float(cfg["temperature"])
-    max_pairs = int(cfg["max_pairs"])
-    dsmc_samples = int(cfg["dsmc_samples"])
-    seed = int(cfg["seed"])
+    eps = Inelasticity(cfg["eps"])
+    t, replicas, n = cfg["t"], cfg["replicas"], cfg["n_particles"]
+    length, temp = cfg["length"], cfg["temperature"]
 
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if not sigma_list or replicas < 1 or n < 2:
-        raise ConfigError("the study needs a sigma, and its pair marginal "
-                          "at least one replica of at least two particles")
     density = n / length
     for sigma in sigma_list:
         if n * sigma / length >= 0.2:
@@ -243,7 +227,7 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
 
     # per row, one child per replica, then the estimator's own
     seeds = [row.spawn(replicas + 1) for row in
-             np.random.SeedSequence(seed).spawn(len(sigma_list))]
+             np.random.SeedSequence(cfg["seed"]).spawn(len(sigma_list))]
     task = partial(_replica, n=n,
                    sampler=UniformMaxwellian(length=length, temperature=temp),
                    eps=eps, t=t, fine=(q_edges, p_edges),
@@ -254,8 +238,8 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
                  [rs for row in seeds for rs in row[:-1]]) as records:
         # diameter-free reference, computed once and reused for every sigma
         dsmc_sampler = UniformMaxwellian(length=1.0, temperature=temp)
-        sol = solve_limit_equation(dsmc_sampler, t, eps, seed=seed,
-                                   n_samples=dsmc_samples,
+        sol = solve_limit_equation(dsmc_sampler, t, eps, seed=cfg["seed"],
+                                   n_samples=cfg["dsmc_samples"],
                                    n_cells=_DSMC_CELLS, density=density)
         ref_state = sol.final_state
         ref_p, _ = np.histogram(ref_state.p, bins=p_edges)
@@ -269,10 +253,11 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
             d1, d1_err = _d1_distance(np.array(f1), ref_probs)
             est_rng = np.random.default_rng(row[-1])
             f1_counts, _, g2 = _chaos_counts(
-                cells, _PAIR_Q_BINS * _PAIR_P_BINS, max_pairs, est_rng)
-            floor = g2_iid_floor(f1_counts, replicas, n, max_pairs, est_rng)
+                cells, _PAIR_Q_BINS * _PAIR_P_BINS, cfg["max_pairs"], est_rng)
+            floor = g2_iid_floor(f1_counts, replicas, n, cfg["max_pairs"],
+                                 est_rng)
             report.per_sigma.append({
-                "sigma": float(sigma),
+                "sigma": sigma,
                 "t": t,
                 "D1": d1,
                 "D1_err": d1_err,
@@ -283,7 +268,7 @@ def bg_study(config: dict, workers: int = 1) -> ChaosReport:
             })
             n_events, n_stale_pops, n_tc_elastic = map(sum, zip(*counters))
             report.engine_totals.append({
-                "sigma": float(sigma), "n_events": n_events,
+                "sigma": sigma, "n_events": n_events,
                 "n_stale_pops": n_stale_pops, "n_tc_elastic": n_tc_elastic})
 
     rows = report.per_sigma

@@ -1,10 +1,11 @@
 """Command-line orchestration: seeded runs, JSON configs, CSV/JSON artifacts.
 
 Every subcommand reads a JSON config (defaults are built in, ``--set``
-overrides individual keys), resolves it, embeds the resolved config and
-its hash in every artifact, and writes machine-readable outputs to the
-``--out`` directory.  Exit codes: 0 success, 2 config violation, 3 runtime
-guard abort (with a diagnostic JSON).
+overrides individual keys), checks it against its table in
+:mod:`granulab.config`, runs on the checked values, embeds the config as
+given and its hash in every artifact, and writes machine-readable outputs
+to the ``--out`` directory.  Exit codes: 0 success, 2 config violation, 3
+runtime guard abort (with a diagnostic JSON).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bgl, cumulants, kinetic
+from .config import DEFAULTS, check_config
 from .core import (
     Inelasticity,
     SystemState,
@@ -33,32 +35,6 @@ from .core import (
 )
 from .dynamics import Simulation, TrajectoryLog
 from .errors import ConfigError, GranulabError
-
-DEFAULTS = {
-    "simulate": {
-        "n": 2, "d": 1, "sigma": 0.1, "eps": 0.0, "box": None, "t": 1.0,
-        "temperature": 1.0, "seed": 0, "tc_threshold": None,
-        "storm_limit": 1e5, "snapshot_times": None,
-        "positions": [[0.0], [1.0]], "momenta": [[1.0], [0.0]],
-    },
-    "dsmc": {
-        "n_samples": 100_000, "n_cells": 64, "eps": 0.25, "t_end": 1.0,
-        "temperature": 1.0, "density": 1.0, "seed": 0,
-        "q_bins": 16, "p_bins": 48, "snapshot_times": None,
-    },
-    "collision-check": {"cases": 10_000, "seed": 0},
-    "cumulant-check": {"max_order": 6, "seed": 0},
-    "duality": {
-        "eps_list": [0.0, 0.1, 0.25], "t_list": [0.5, 1.0, 2.0],
-        "n_list": [2, 3], "mc_samples": 100_000, "sigma": 0.02,
-        "temperature": 1.0, "seed": 0,
-    },
-    "enskog-integral": {
-        "d": 1, "eps": 0.25, "sigma": 0.05, "temperature": 1.0,
-        "p1": [0.5], "mc_budget": 100_000, "seed": 0,
-    },
-    "bgl-study": bgl.STUDY_DEFAULTS,
-}
 
 
 def config_hash(cfg: dict) -> str:
@@ -90,10 +66,9 @@ def load_config(subcommand: str, path: str | None, overrides, seed):
             cfg[key] = raw
     if seed is not None:
         cfg["seed"] = int(seed)
-    if "eps" in cfg:
-        Inelasticity(float(cfg["eps"]))  # range check: [0, 0.5)
-    for e in cfg.get("eps_list", []):
-        Inelasticity(float(e))
+    # a caller that only parses still has an eps outside [0, 1/2) refused
+    check_config(subcommand, {key: cfg[key] for key in ("eps", "eps_list")
+                              if key in cfg})
     return cfg
 
 
@@ -112,31 +87,29 @@ def write_csv(path: Path, header, rows):
                         for v in row])
 
 
-def _report(cfg, **extra):
-    return {"config": cfg, "config_hash": config_hash(cfg),
-            "seed": cfg.get("seed"), **extra}
+def _report(given, **extra):
+    return {"config": given, "config_hash": config_hash(given),
+            "seed": given.get("seed"), **extra}
 
 
 # -- subcommands -----------------------------------------------------------
 
-def run_simulate(cfg, out: Path):
+def run_simulate(cfg, given, out: Path):
     rng = np.random.default_rng(cfg["seed"])
-    eps = Inelasticity(float(cfg["eps"]))
-    box = None if cfg["box"] is None else float(cfg["box"])
-    if cfg.get("positions") is not None:
-        q = np.asarray(cfg["positions"], dtype=float)
-        p = np.asarray(cfg["momenta"], dtype=float)
-        state = SystemState(q, p, float(cfg["sigma"]), eps, box)
+    eps = Inelasticity(cfg["eps"])
+    box = cfg["box"]
+    if cfg["positions"] is not None:
+        state = SystemState(cfg["positions"], cfg["momenta"], cfg["sigma"],
+                            eps, box)
     else:
-        sampler = UniformMaxwellian(d=int(cfg["d"]), length=box or 1.0,
-                                    temperature=float(cfg["temperature"]))
-        state = sample_chaotic_state(int(cfg["n"]), sampler,
-                                     float(cfg["sigma"]), eps, box, rng)
+        sampler = UniformMaxwellian(d=cfg["d"], length=box or 1.0,
+                                    temperature=cfg["temperature"])
+        state = sample_chaotic_state(cfg["n"], sampler, cfg["sigma"], eps,
+                                     box, rng)
     log = TrajectoryLog()
     sim = Simulation(state, log=log, tc_threshold=cfg["tc_threshold"],
-                     storm_limit=float(cfg["storm_limit"]))
-    times = sorted(set(float(t) for t in
-                       cfg["snapshot_times"] or [0.0, float(cfg["t"])]))
+                     storm_limit=cfg["storm_limit"])
+    times = sorted(set(cfg["snapshot_times"] or [0.0, cfg["t"]]))
     if times[0] < state.time:
         raise ConfigError(f"snapshot times {times} precede the start")
     snaps = []
@@ -158,7 +131,7 @@ def run_simulate(cfg, out: Path):
                in zip(log.t, log.i, log.j, log.eta, log.g_n, log.dE)])
     final = snaps[-1]
     write_json(out / "run.json", _report(
-        cfg, n_events=log.n_events, n_stale_pops=sim.n_stale_pops,
+        given, n_events=log.n_events, n_stale_pops=sim.n_stale_pops,
         n_tc_elastic=sim.n_tc_elastic,
         total_dissipation=log.total_dissipation(),
         final_energy=final.kinetic_energy(),
@@ -166,15 +139,14 @@ def run_simulate(cfg, out: Path):
     return 0
 
 
-def run_dsmc(cfg, out: Path):
-    sampler = UniformMaxwellian(length=1.0,
-                                temperature=float(cfg["temperature"]))
+def run_dsmc(cfg, given, out: Path):
+    sampler = UniformMaxwellian(length=1.0, temperature=cfg["temperature"])
     sol = kinetic.solve_limit_equation(
-        sampler, float(cfg["t_end"]), Inelasticity(float(cfg["eps"])),
-        seed=int(cfg["seed"]), n_samples=int(cfg["n_samples"]),
-        n_cells=int(cfg["n_cells"]), density=float(cfg["density"]),
+        sampler, cfg["t_end"], Inelasticity(cfg["eps"]), seed=cfg["seed"],
+        n_samples=cfg["n_samples"], n_cells=cfg["n_cells"],
+        density=cfg["density"],
         snapshot_times=cfg["snapshot_times"] or None,  # [] as in simulate
-        q_bins=int(cfg["q_bins"]), p_bins=int(cfg["p_bins"]))
+        q_bins=cfg["q_bins"], p_bins=cfg["p_bins"])
     rows = []
     for h in sol.histograms:
         for qi, pi in np.argwhere(h.counts):
@@ -185,14 +157,14 @@ def run_dsmc(cfg, out: Path):
               ["t", "mass", "momentum", "energy", "temperature"],
               [list(m) for m in sol.moments])
     write_json(out / "run.json", _report(
-        cfg, final_temperature=sol.moments[-1][4],
+        given, final_temperature=sol.moments[-1][4],
         n_steps=len(sol.moments) - 1, dt_halvings=sol.dt_halvings))
     return 0
 
 
 def _collision_report(cfg) -> dict:
     rng = np.random.default_rng(cfg["seed"])
-    cases = int(cfg["cases"])
+    cases = cfg["cases"]
     worst = {"momentum": 0.0, "restitution": 0.0, "round_trip": 0.0,
              "dissipation": 0.0}
     for _ in range(cases):
@@ -218,8 +190,8 @@ def _collision_report(cfg) -> dict:
     passed = (worst["momentum"] <= 1e-14 and worst["restitution"] <= 1e-12
               and worst["round_trip"] <= 1e-12
               and worst["dissipation"] <= 1e-12)
-    return _report(cfg, n_samples=cases, checks=worst, passed=bool(passed),
-                   jacobian_example=collision_jacobian(Inelasticity(0.25)))
+    return dict(n_samples=cases, checks=worst, passed=bool(passed),
+                jacobian_example=collision_jacobian(Inelasticity(0.25)))
 
 
 def _generating_check(rng, eps) -> bool:
@@ -264,7 +236,7 @@ def _generating_check(rng, eps) -> bool:
 
 def _cumulant_report(cfg) -> dict:
     sums = {}
-    for n in range(1, int(cfg["max_order"])):
+    for n in range(1, cfg["max_order"]):
         sums[str(n + 1)] = sum(
             t.coefficient for t in cumulants.enumerate_cumulant_terms(n))
     eps = Inelasticity(0.25)
@@ -278,16 +250,15 @@ def _cumulant_report(cfg) -> dict:
     passed = (all(v == 0 for v in sums.values())
               and all(abs(v) <= 1e-12 for v in vanish.values())
               and identity_ok)
-    return _report(cfg, coefficient_sums=sums, vanishing_values=vanish,
-                   generating_identity=identity_ok, passed=bool(passed))
+    return dict(coefficient_sums=sums, vanishing_values=vanish,
+                generating_identity=identity_ok, passed=bool(passed))
 
 
 def _duality_report(cfg) -> dict:
-    sampler = UniformMaxwellian(length=1.0,
-                                temperature=float(cfg["temperature"]))
+    sampler = UniformMaxwellian(length=1.0, temperature=cfg["temperature"])
     b1 = lambda q, p: 0.5 * p * p
     cells = []
-    ss = np.random.SeedSequence(int(cfg["seed"]))
+    ss = np.random.SeedSequence(cfg["seed"])
     for e in cfg["eps_list"]:
         for t in cfg["t_list"]:
             for n in cfg["n_list"]:
@@ -295,42 +266,38 @@ def _duality_report(cfg) -> dict:
                     entropy=ss.entropy,
                     spawn_key=(int(1000 * e), int(1000 * t), n))
                 res, err = cumulants.duality_residual(
-                    b1, sampler, float(t), int(n), int(cfg["mc_samples"]),
-                    float(cfg["sigma"]), Inelasticity(float(e)),
-                    seed=sub.generate_state(1)[0])
-                cells.append({"eps": float(e), "t": float(t), "n": int(n),
-                              "residual": res, "stderr": err,
-                              "z": res / err})
+                    b1, sampler, t, n, cfg["mc_samples"], cfg["sigma"],
+                    Inelasticity(e), seed=sub.generate_state(1)[0])
+                cells.append({"eps": e, "t": t, "n": n, "residual": res,
+                              "stderr": err, "z": res / err})
     max_z = max(abs(c["z"]) for c in cells)
-    return _report(cfg, n_samples=int(cfg["mc_samples"]), cells=cells,
-                   max_abs_z=max_z, passed=bool(max_z < 3.0))
+    return dict(n_samples=cfg["mc_samples"], cells=cells, max_abs_z=max_z,
+                passed=bool(max_z < 3.0))
 
 
-def _run_check(make_report, cfg, out: Path):
+def _run_check(make_report, cfg, given, out: Path):
     """Write a check's report; exit 0 when it passed, else 1."""
     report = make_report(cfg)
-    write_json(out / "report.json", report)
+    write_json(out / "report.json", _report(given, **report))
     return 0 if report["passed"] else 1
 
 
-def run_enskog_integral(cfg, out: Path):
-    d = int(cfg["d"])
-    f2 = kinetic.maxwellian_product_f2(float(cfg["temperature"]), d=d)
-    x1 = (np.zeros(d), np.asarray(cfg["p1"], dtype=float))
+def run_enskog_integral(cfg, given, out: Path):
+    d = cfg["d"]
+    f2 = kinetic.maxwellian_product_f2(cfg["temperature"], d=d)
+    x1 = (np.zeros(d), np.asarray(cfg["p1"]))
     value, stderr = kinetic.enskog_collision_integral(
-        f2, x1, float(cfg["sigma"]), Inelasticity(float(cfg["eps"])),
-        int(cfg["mc_budget"]), d=d,
-        rng=np.random.default_rng(int(cfg["seed"])))
+        f2, x1, cfg["sigma"], Inelasticity(cfg["eps"]), cfg["mc_budget"],
+        d=d, rng=np.random.default_rng(cfg["seed"]))
     write_json(out / "report.json", _report(
-        cfg, estimate=value, stderr=stderr,
-        n_samples=int(cfg["mc_budget"])))
+        given, estimate=value, stderr=stderr, n_samples=cfg["mc_budget"]))
     return 0
 
 
-def run_bgl_study(cfg, out: Path, workers: int):
+def run_bgl_study(cfg, given, out: Path, workers: int):
     report = bgl.bg_study(cfg, workers=workers)
     write_json(out / "report.json", _report(
-        cfg, per_sigma=report.per_sigma, verdicts=report.verdicts,
+        given, per_sigma=report.per_sigma, verdicts=report.verdicts,
         engine_totals=report.engine_totals))
     write_csv(out / "report.csv", list(report.per_sigma[0]),
               [list(r.values()) for r in report.per_sigma])
@@ -380,18 +347,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        cfg = load_config(args.subcommand, args.config, args.overrides,
-                          args.seed)
+        given = load_config(args.subcommand, args.config, args.overrides,
+                            args.seed)
+        cfg = check_config(args.subcommand, given)
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, "
                               f"got {args.threads}")
         if args.verify:
-            print(config_hash(cfg))
+            print(config_hash(given))
             return 0
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "bgl-study":
-            return run_bgl_study(cfg, out, workers=args.threads)
-        return RUNNERS[args.subcommand](cfg, out)
+            return run_bgl_study(cfg, given, out, workers=args.threads)
+        return RUNNERS[args.subcommand](cfg, given, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

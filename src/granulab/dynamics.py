@@ -36,7 +36,6 @@ from . import core
 from .core import Inelasticity, SystemState, _min_gap
 from .errors import ConfigError, EventStormError
 
-_TINY = 1e-14
 # relative overlap slack tolerated when validating post-event configurations
 _OVERLAP_SLACK = 1e-9
 _OVERLAP_MESSAGE = "initial configuration has overlapping particles"
@@ -193,7 +192,7 @@ class Simulation:
         exceeds; nothing when the pair does not approach."""
         v = self.v
         rel = v[a] - v[b]
-        if rel > _TINY:
+        if rel > 0.0:
             x, tl = self.x, self.tl
             gap = ((x[b] + off + v[b] * (t - tl[b]))
                    - (x[a] + v[a] * (t - tl[a])) - self.sigma)
@@ -296,11 +295,10 @@ class Simulation:
         is predicted from t_ev.  A collision leaves its own pair receding
         (the relative speed becomes -(1-2 eps) g, -g/(1-2 eps) or -g, and
         rounding keeps the sign), so only (j, right) and (left, i) are
-        re-predicted.  A popped entry whose counters match has g_n > _TINY:
-        every push required it, and neither velocity has changed since.
-        Entries are popped as in :meth:`_run_pairs`, when stale or applied,
-        so an entry that a run stops or raises on stays pending; a refused
-        event changes nothing but the rods' flight to it and storm windows.
+        re-predicted.  Entries are popped as in :meth:`_run_pairs`, when
+        stale or applied, so an entry that a run stops or raises on stays
+        pending; a refused event changes nothing but the rods' flight to it
+        and storm windows.
         """
         heap, cnt, x, v, tl = self.heap, self.cnt, self.x, self.v, self.tl
         last, storm_t0, storm_cnt = (self._last_event, self._storm_t0,
@@ -586,12 +584,13 @@ def _first_contact(qs, ps, sigma):
     k = np.zeros(qs[0].size, dtype=np.intp)
     for j in range(len(qs) - 1):
         rel = ps[j] - ps[j + 1]
-        a = np.flatnonzero(rel > _TINY)
+        a = np.flatnonzero(rel > 0.0)
         tj = qs[j + 1].take(a)
         tj -= qs[j].take(a)
         tj -= sigma
         np.maximum(tj, 0.0, out=tj)
-        tj /= rel.take(a)
+        with np.errstate(over="ignore"):  # a subnormal rel: inf, no hit
+            tj /= rel.take(a)
         if j == 0:
             tmin[a] = tj
         else:

@@ -29,5 +29,5 @@ class DtGuardError(GranulabError):
     """DSMC step called with a dt too large for the acceptance scheme."""
 
 
-class ConfigError(GranulabError):
-    """Invalid run configuration."""
+class ConfigError(GranulabError, ValueError):
+    """Invalid run configuration; a ValueError, as its cause is a value."""

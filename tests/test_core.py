@@ -15,7 +15,7 @@ from granulab.core import (
     sample_chaotic_state,
 )
 from granulab import core
-from granulab.dynamics import _TINY, Simulation, evolve_rods_ensemble
+from granulab.dynamics import Simulation, evolve_rods_ensemble
 from granulab.errors import InvalidCollisionError, SamplingFailureError
 from granulab.kinetic import _collide_in_rounds
 
@@ -131,7 +131,7 @@ class TestPrecollide:
 
 
 def approaching_rod_pairs(rng, n=100_000):
-    """(v1, v2) with v1 - v2 > _TINY: random pairs at scales 1 to 1e8, each
+    """(v1, v2) with v1 - v2 > 0: random pairs at scales 1 to 1e8, each
     rod drawn at its own scale, and pairs 1 and 2 ulp apart."""
     v1, v2 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(0, 8, (2, n))
     base = rng.normal(size=n) * 10.0 ** rng.uniform(0, 8, n)
@@ -139,7 +139,7 @@ def approaching_rod_pairs(rng, n=100_000):
     two = np.nextafter(one, -np.inf)
     a = np.concatenate([np.maximum(v1, v2), base, base, one])
     b = np.concatenate([np.minimum(v1, v2), one, two, two])
-    keep = a - b > _TINY
+    keep = a - b > 0.0
     return a[keep], b[keep]
 
 

@@ -571,6 +571,71 @@ class TestEvolveRodsEnsemble:
             assert nr[0] == ncol[r]
 
 
+class TestSlowRods:
+    """Every approaching pair is predicted, however slowly it approaches:
+    the flow has no preferred units, so no relative speed is too small to
+    collide."""
+
+    # rods at 0 and 1 (sigma 0.1) touch at t = 0.9e15; by t = 2e15 the
+    # struck rod has moved on by 1.1
+    Q, P = np.array([[0.0, 1.0]]), np.array([[1e-15, 0.0]])
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs"])
+    def test_slow_pair_collides(self, engine):
+        log = TrajectoryLog()
+        out = evolve(SystemState(self.Q.T, self.P.T, 0.1, Inelasticity(0.0)),
+                     2e15, log=log, engine=engine)
+        assert log.n_events == 1
+        assert out.q[1, 0] - out.q[0, 0] == pytest.approx(1.2)
+
+    def test_slow_pair_collides_in_ensemble(self):
+        qf, _, ncol = evolve_rods_ensemble(self.Q, self.P, 2e15, 0.1,
+                                           Inelasticity(0.0))
+        assert ncol.tolist() == [1]
+        assert qf[0, 1] - qf[0, 0] == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("engine", ["adjacent", "allpairs", "ensemble"])
+    def test_subnormal_speed_is_no_hit(self, engine):
+        # the contact time overflows to inf, which is no hit, and no
+        # overflow warning is raised
+        p = np.array([[5e-324, 0.0]])
+        if engine == "ensemble":
+            qf, pf, ncol = evolve_rods_ensemble(self.Q, p, 1.0, 0.1,
+                                                Inelasticity(0.0))
+            assert not ncol.any() and np.array_equal(pf, p)
+        else:
+            log = TrajectoryLog()
+            out = evolve(SystemState(self.Q.T, p.T, 0.1, Inelasticity(0.0)),
+                         1.0, log=log, engine=engine)
+            assert log.n_events == 0 and np.array_equal(out.p, p.T)
+
+    def test_cold_ring_collides(self):
+        # at temperature 1e-30 the relative speeds are about 1e-15
+        rng = np.random.default_rng(0)
+        s = random_state_1d(rng, 1000, box=10.0, sigma=0.001, eps=0.0,
+                            temp=1e-30)
+        sim = Simulation(s)
+        sim.run(dt=1e15)
+        assert sim.n_events == 62_812
+        assert sim.state().is_allowed()
+
+    def test_scaled_ring_runs_as_the_original(self):
+        # p -> p / 2^50 with t and tc_threshold -> t * 2^50 scales every
+        # float operation of the engine exactly
+        rng = np.random.default_rng(0)
+        s = random_state_1d(rng, 1000, box=10.0, sigma=0.001, eps=0.25)
+        runs = []
+        for scale in (1.0, 2.0 ** -50):
+            sim = Simulation(SystemState(s.q, s.p * scale, 0.001, s.eps, 10.0),
+                             tc_threshold=1e-9 / scale)
+            sim.run(dt=0.25 / scale)
+            out = sim.state()
+            runs.append((sim.n_events, sim.n_tc_elastic, out.q.tobytes(),
+                         (out.p / scale).tobytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == (99_973, 15_565)
+
+
 class TestTonksIdentity:
     """Contracting every gap of a 1D rod system: rods of diameter s1 at x_k
     (sorted) on a ring of length L and rods of diameter s2 at
