@@ -99,6 +99,11 @@ def run_simulate(cfg, given, out: Path):
     eps = Inelasticity(cfg["eps"])
     box = cfg["box"]
     if cfg["positions"] is not None:
+        # snapshots.csv has columns for 1 to 3 dimensions
+        if not cfg["positions"] or not all(
+                1 <= len(row) <= 3 for row in cfg["positions"]):
+            raise ConfigError("positions must hold at least one row of 1 "
+                              "to 3 entries")
         state = SystemState(cfg["positions"], cfg["momenta"], cfg["sigma"],
                             eps, box)
     else:
@@ -284,6 +289,8 @@ def _run_check(make_report, cfg, given, out: Path):
 
 def run_enskog_integral(cfg, given, out: Path):
     d = cfg["d"]
+    if len(cfg["p1"]) != d:
+        raise ConfigError(f"p1 has {len(cfg['p1'])} entries, but d={d}")
     f2 = kinetic.maxwellian_product_f2(cfg["temperature"], d=d)
     x1 = (np.zeros(d), np.asarray(cfg["p1"]))
     value, stderr = kinetic.enskog_collision_integral(

@@ -66,6 +66,19 @@ class TestConfig:
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
 
 
+# systems whose shape the simulate CSV layout or the Enskog point cannot hold
+SHAPE_REFUSALS = [
+    ["simulate", "--set", "positions=[]", "--set", "momenta=[]"],
+    ["simulate", "--set", "positions=[[]]", "--set", "momenta=[[]]"],
+    ["simulate", "--set", "positions=[[0,0,0,0],[1,1,1,1]]",
+     "--set", "momenta=[[1,0,0,0],[0,0,0,0]]"],
+    ["enskog-integral", "--set", "d=3"],
+    ["enskog-integral", "--set", "p1=[]"],
+]
+SHAPE_REFUSAL_IDS = ["simulate-no-rows", "simulate-empty-row",
+                     "simulate-4d", "enskog-p1-short", "enskog-p1-empty"]
+
+
 class TestExitCodes:
     def test_config_violation_is_2(self, tmp_path, capsys):
         rc = main(["dsmc", "--out", str(tmp_path), "--set", "eps=0.5"])
@@ -83,13 +96,26 @@ class TestExitCodes:
         ["simulate", "--set", "positions=[[NaN],[1.0]]"],
         ["simulate", "--set", "storm_limit=NaN"],
         ["simulate", "--set", "tc_threshold=NaN"],
+        ["simulate", "--set", "positions=[[0.0],[0.05]]"],
+        ["simulate", "--set", "momenta=[[1.0]]"],
+        ["simulate", "--set", "box=0.1"],
+        *SHAPE_REFUSALS,
     ], ids=["eps-text", "eps-list-range", "sigma", "duality-samples",
             "dsmc-snapshot-late", "simulate-snapshot-early",
             "simulate-inf-momentum", "simulate-nan-position",
-            "simulate-nan-storm-limit", "simulate-nan-tc-threshold"])
+            "simulate-nan-storm-limit", "simulate-nan-tc-threshold",
+            "simulate-overlap", "simulate-momenta-shape",
+            "simulate-sigma-half-box", *SHAPE_REFUSAL_IDS])
     def test_refusals_are_2(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", SHAPE_REFUSALS, ids=SHAPE_REFUSAL_IDS)
+    def test_shape_refusal_names_its_keys(self, tmp_path, capsys, argv):
+        main([*argv, "--out", str(tmp_path)])
+        keys = {"simulate": ["positions"], "enskog-integral": ["p1", "d="]}
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys[argv[0]])
 
     def test_bad_config_file_is_2(self, tmp_path):
         bad = tmp_path / "cfg.json"

@@ -1,15 +1,20 @@
 """Repository hygiene: exports resolve, benchmark trace targets exist, no
-module imports a name it never uses, and no public name or option is left
-that only the tests use."""
+module imports a name it never uses, no public name or option is left
+that only the tests use, and the README cites only tests that exist and
+shows only commands that run."""
 import ast
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import granulab
+from granulab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PACKAGE = sorted((ROOT / "src" / "granulab").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
@@ -253,3 +258,46 @@ def test_no_test_only_options():
                          for path in sorted((ROOT / "perfbench").glob("*.py"))]
     unset = unset_options(package, callers)
     assert unset == sorted(KEPT_UNSET_OPTIONS), "unset: " + ", ".join(unset)
+
+
+TEST_FILE = r"tests/[\w/]+\.py"
+
+
+def missing_citations(text, root):
+    """The ``tests/`` files and the test names (``test_...``, ``Test...``)
+    that ``text`` cites and the test files under ``root`` do not hold."""
+    defined = {node.name for path in (root / "tests").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names = re.findall(r"\b(?:test_\w+|Test[A-Z]\w*)",
+                       re.sub(TEST_FILE, " ", text))
+    files = re.findall(TEST_FILE, text)
+    return sorted((set(names) - defined)
+                  | {f for f in files if not (root / f).is_file()})
+
+
+def test_scanner_finds_missing_citation():
+    text = ("`tests/test_hygiene.py::test_scanner_finds_unused_import`, "
+            "`TestNoSuchClass`, `test_no_such_name`, `tests/no_such.py`")
+    assert missing_citations(text, ROOT) == [
+        "TestNoSuchClass", "test_no_such_name", "tests/no_such.py"]
+
+
+def test_readme_citations_exist():
+    assert missing_citations(README.read_text(), ROOT) == []
+
+
+def readme_examples(text):
+    """The arguments of each ``granulab`` command in the ``sh`` blocks of
+    ``text``, with continued lines joined."""
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("granulab ")]
+
+
+def test_readme_examples_verify():
+    examples = readme_examples(README.read_text())
+    assert examples
+    for argv in examples:
+        assert main([*argv, "--verify"]) == 0, argv
